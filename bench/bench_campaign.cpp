@@ -11,10 +11,10 @@
 //                  [--locality-size N] [--compress-target N]
 //                  [--out FILE] [--trace FILE]
 //
-// Note: campaign speedup is bounded by the machine's core count (each grid
-// point already spawns p simulated-rank threads), so expect flat scaling on
-// a single-core runner — the CSV-identity check still exercises the
-// concurrent path.
+// Note: campaign speedup is bounded by the machine's core count (grid
+// points are the unit of parallelism; each runs its p simulated ranks on
+// one thread), so expect flat scaling on a single-core runner — the
+// CSV-identity check still exercises the concurrent path.
 #include <sys/resource.h>
 
 #include <chrono>

@@ -96,9 +96,11 @@ AppResult bench_app(apps::AppId id, const pipeline::CampaignConfig& config,
   // Both engines must agree on fit quality; a drift here means the batched
   // CV diverged from the per-fold refits beyond numerics.
   const double tolerance = 1e-6 * std::max(1.0, std::fabs(result.scalar.cv_sum));
-  exareq::require(
-      std::fabs(result.batched.cv_sum - result.scalar.cv_sum) <= tolerance,
-      "bench_fitter: batched and scalar CV totals diverge on " + result.name);
+  const double cv_gap = std::fabs(result.batched.cv_sum - result.scalar.cv_sum);
+  exareq::require(cv_gap <= tolerance, [&] {
+    return "bench_fitter: batched and scalar CV totals diverge on " +
+           result.name;
+  });
   return result;
 }
 

@@ -54,8 +54,9 @@ struct Flags {
     const char* begin = value->data();
     const char* end = value->data() + value->size();
     const auto [ptr, ec] = std::from_chars(begin, end, parsed);
-    exareq::require(ec == std::errc{} && ptr == end,
-                    "flag --" + name + " expects a number, got '" + *value + "'");
+    exareq::require(ec == std::errc{} && ptr == end, [&] {
+      return "flag --" + name + " expects a number, got '" + *value + "'";
+    });
     return parsed;
   }
 
@@ -68,9 +69,9 @@ struct Flags {
     const char* begin = value->data();
     const char* end = value->data() + value->size();
     const auto [ptr, ec] = std::from_chars(begin, end, parsed);
-    exareq::require(ec == std::errc{} && ptr == end,
-                    "flag --" + name + " expects an integer, got '" + *value +
-                        "'");
+    exareq::require(ec == std::errc{} && ptr == end, [&] {
+      return "flag --" + name + " expects an integer, got '" + *value + "'";
+    });
     return parsed;
   }
 
@@ -89,8 +90,9 @@ const std::set<std::string>& boolean_flags() {
 Flags parse_flags(const std::vector<std::string>& args, std::size_t first) {
   Flags flags;
   for (std::size_t i = first; i < args.size(); ++i) {
-    exareq::require(args[i].rfind("--", 0) == 0,
-                    "expected a --flag, got '" + args[i] + "'");
+    exareq::require(args[i].rfind("--", 0) == 0, [&] {
+      return "expected a --flag, got '" + args[i] + "'";
+    });
     const std::string token = args[i].substr(2);
     const std::size_t eq = token.find('=');
     if (eq != std::string::npos) {
@@ -101,7 +103,9 @@ Flags parse_flags(const std::vector<std::string>& args, std::size_t first) {
       flags.values[token] = "1";
       continue;
     }
-    exareq::require(i + 1 < args.size(), "flag " + args[i] + " needs a value");
+    exareq::require(i + 1 < args.size(), [&] {
+      return "flag " + args[i] + " needs a value";
+    });
     flags.values[token] = args[i + 1];
     ++i;
   }
@@ -111,9 +115,10 @@ Flags parse_flags(const std::vector<std::string>& args, std::size_t first) {
 /// Resolves --sampling NAME to its preset; throws on unknown names.
 pipeline::SamplingPreset sampling_preset(const std::string& name) {
   const auto preset = pipeline::sampling_preset_from_name(name);
-  exareq::require(preset.has_value(),
-                  "flag --sampling expects one of exact, balanced, sparse, "
-                  "minimal; got '" + name + "'");
+  exareq::require(preset.has_value(), [&] {
+    return "flag --sampling expects one of exact, balanced, sparse, "
+           "minimal; got '" + name + "'";
+  });
   return *preset;
 }
 
@@ -129,9 +134,10 @@ pipeline::CampaignConfig campaign_config(const Flags& flags) {
     config.problem_sizes = parse_int_list(*sizes);
   }
   const std::int64_t threads = flags.integer("threads", 0);
-  exareq::require(threads >= 0,
-                  "flag --threads expects a non-negative integer, got " +
-                      std::to_string(threads));
+  exareq::require(threads >= 0, [&] {
+    return "flag --threads expects a non-negative integer, got " +
+           std::to_string(threads);
+  });
   config.threads = static_cast<std::size_t>(threads);
   if (const auto preset = flags.get("sampling")) {
     config.locality = pipeline::locality_preset(sampling_preset(*preset));
@@ -154,9 +160,10 @@ pipeline::CampaignConfig campaign_config(const Flags& flags) {
 model::GeneratorOptions generator_options(const Flags& flags) {
   model::GeneratorOptions options;
   const std::int64_t threads = flags.integer("threads", 0);
-  exareq::require(threads >= 0,
-                  "flag --threads expects a non-negative integer, got " +
-                      std::to_string(threads));
+  exareq::require(threads >= 0, [&] {
+    return "flag --threads expects a non-negative integer, got " +
+           std::to_string(threads);
+  });
   options.fit.threads = static_cast<std::size_t>(threads);
   return options;
 }
@@ -166,7 +173,9 @@ pipeline::CampaignData obtain_campaign(const apps::Application& app,
                                        const Flags& flags, std::ostream& err) {
   if (const auto path = flags.get("in")) {
     std::ifstream file(*path);
-    exareq::require(file.good(), "cannot open campaign file '" + *path + "'");
+    exareq::require(file.good(), [&] {
+      return "cannot open campaign file '" + *path + "'";
+    });
     return pipeline::CampaignData::from_csv(exareq::CsvDocument::parse(file),
                                             app.name());
   }
@@ -193,7 +202,9 @@ int cmd_measure(const apps::Application& app, const Flags& flags,
   const exareq::CsvDocument csv = data.to_csv();
   if (const auto path = flags.get("out")) {
     std::ofstream file(*path);
-    exareq::require(file.good(), "cannot write campaign file '" + *path + "'");
+    exareq::require(file.good(), [&] {
+      return "cannot write campaign file '" + *path + "'";
+    });
     csv.write(file);
     err << "wrote " << data.measurements.size() << " configurations to "
         << *path << "\n";
@@ -216,7 +227,9 @@ int cmd_model(const apps::Application& app, const Flags& flags,
   out << "Engine stats:\n" << pipeline::render_engine_stats(models);
   if (const auto path = flags.get("models-out")) {
     std::ofstream file(*path);
-    exareq::require(file.good(), "cannot write model file '" + *path + "'");
+    exareq::require(file.good(), [&] {
+      return "cannot write model file '" + *path + "'";
+    });
     file << model::serialize_bundle(pipeline::to_model_bundle(models));
     err << "wrote serialized models to " << *path << "\n";
   }
@@ -435,8 +448,9 @@ int cmd_serve(const Flags& flags, std::ostream& out, std::ostream& err) {
 
   if (requests.has_value()) {
     std::ifstream file(*requests);
-    exareq::require(file.good(),
-                    "cannot open request file '" + *requests + "'");
+    exareq::require(file.good(), [&] {
+      return "cannot open request file '" + *requests + "'";
+    });
     std::vector<std::string> lines;
     std::string line;
     while (std::getline(file, line)) {
@@ -531,8 +545,9 @@ int cmd_query(const Flags& flags, std::ostream& out) {
     lines.push_back(*request);
   } else {
     std::ifstream file(*requests_file);
-    exareq::require(file.good(),
-                    "cannot open request file '" + *requests_file + "'");
+    exareq::require(file.good(), [&] {
+      return "cannot open request file '" + *requests_file + "'";
+    });
     std::string line;
     while (std::getline(file, line)) {
       if (line.empty() || line[0] == '#') continue;
@@ -619,8 +634,9 @@ std::string usage() {
 std::vector<std::int64_t> parse_int_list(const std::string& text) {
   // getline drops a trailing empty item, so "4,8," would silently parse;
   // reject the dangling separator explicitly.
-  exareq::require(text.empty() || text.back() != ',',
-                  "expected a positive integer list, got '" + text + "'");
+  exareq::require(text.empty() || text.back() != ',', [&] {
+    return "expected a positive integer list, got '" + text + "'";
+  });
   std::vector<std::int64_t> values;
   std::stringstream stream(text);
   std::string item;
@@ -629,17 +645,19 @@ std::vector<std::int64_t> parse_int_list(const std::string& text) {
     const char* begin = item.data();
     const char* end = item.data() + item.size();
     const auto [ptr, ec] = std::from_chars(begin, end, value);
-    exareq::require(ec == std::errc{} && ptr == end && value > 0,
-                    "expected a positive integer list, got '" + text + "'");
+    exareq::require(ec == std::errc{} && ptr == end && value > 0, [&] {
+      return "expected a positive integer list, got '" + text + "'";
+    });
     values.push_back(value);
   }
   std::sort(values.begin(), values.end());
   values.erase(std::unique(values.begin(), values.end()), values.end());
   // One distinct value cannot span a fit grid axis; reject early instead of
   // failing later inside the model generator.
-  exareq::require(values.size() >= 2, "integer list '" + text +
-                                          "' has fewer than 2 distinct values "
-                                          "(degenerate fit grid)");
+  exareq::require(values.size() >= 2, [&] {
+    return "integer list '" + text +
+           "' has fewer than 2 distinct values " "(degenerate fit grid)";
+  });
   return values;
 }
 
@@ -659,9 +677,12 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
       const bool known = command == "measure" || command == "model" ||
                          command == "upgrade" || command == "strawman" ||
                          command == "locality";
-      exareq::require(known, "unknown command '" + command + "'");
-      exareq::require(args.size() >= 2,
-                      "command '" + command + "' needs an app name");
+      exareq::require(known, [&] {
+        return "unknown command '" + command + "'";
+      });
+      exareq::require(args.size() >= 2, [&] {
+        return "command '" + command + "' needs an app name";
+      });
       app = &apps::application(apps::app_id_from_name(args[1]));
       flag_start = 2;
     }

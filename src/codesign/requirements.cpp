@@ -17,11 +17,12 @@ std::string layout_of(const model::Model& m) {
 }
 
 void check_two_parameter(const model::Model& m, const char* what) {
-  exareq::require(m.parameter_names().size() == 2 &&
-                      m.parameter_names()[0] == "p" && m.parameter_names()[1] == "n",
-                  std::string("AppRequirements: ") + what +
-                      " must be a model over (p, n), but this model is over " +
-                      layout_of(m));
+  const auto& names = m.parameter_names();
+  exareq::require(names.size() == 2 && names[0] == "p" && names[1] == "n", [&] {
+    return std::string("AppRequirements: ") + what +
+           " must be a model over (p, n), but this model is over " +
+           layout_of(m);
+  });
 }
 
 }  // namespace
@@ -32,10 +33,10 @@ void AppRequirements::validate() const {
   check_two_parameter(flops, "flops");
   check_two_parameter(comm_bytes, "comm_bytes");
   check_two_parameter(loads_stores, "loads_stores");
-  exareq::require(stack_distance.parameter_names().size() == 1,
-                  "AppRequirements: stack_distance must be a model over (n), "
-                  "but this model is over " +
-                      layout_of(stack_distance));
+  exareq::require(stack_distance.parameter_names().size() == 1, [&] {
+    return "AppRequirements: stack_distance must be a model over (n), "
+           "but this model is over " + layout_of(stack_distance);
+  });
   if (io_bytes.has_value()) check_two_parameter(*io_bytes, "io_bytes");
   if (energy_proxy.has_value()) {
     check_two_parameter(*energy_proxy, "energy_proxy");

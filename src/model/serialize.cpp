@@ -20,9 +20,10 @@ double parse_double(const std::string& token, const char* what) {
   const char* begin = token.data();
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(begin, end, value);
-  exareq::require(ec == std::errc{} && ptr == end,
-                  std::string("parse_model: bad number in ") + what + ": '" +
-                      token + "'");
+  exareq::require(ec == std::errc{} && ptr == end, [&] {
+    return std::string("parse_model: bad number in ") + what + ": '" + token +
+           "'";
+  });
   return value;
 }
 
@@ -30,8 +31,9 @@ std::size_t parse_index(const std::string& token, std::size_t limit,
                         const char* what) {
   const double value = parse_double(token, what);
   const auto index = static_cast<std::size_t>(value);
-  exareq::require(static_cast<double>(index) == value && index < limit,
-                  std::string("parse_model: bad parameter index in ") + what);
+  exareq::require(static_cast<double>(index) == value && index < limit, [&] {
+    return std::string("parse_model: bad parameter index in ") + what;
+  });
   return index;
 }
 
@@ -99,8 +101,9 @@ Model parse_model(const std::string& text) {
   };
 
   next_line("header");
-  exareq::require(line == "model v1",
-                  "parse_model: expected 'model v1' header, got '" + line + "'");
+  exareq::require(line == "model v1", [&] {
+    return "parse_model: expected 'model v1' header, got '" + line + "'";
+  });
 
   next_line("params line");
   std::istringstream params_line(line);
@@ -201,14 +204,16 @@ ModelBundle parse_bundle(const std::string& text) {
             trim(comment.substr(std::string(kFormatPrefix).size()));
         const double value = parse_double(number, "bundle format version");
         const int version = static_cast<int>(value);
-        exareq::require(static_cast<double>(version) == value && version >= 1,
-                        "parse_bundle: bad format version '" + number + "'");
         exareq::require(
-            version <= ModelBundle::kCurrentFormatVersion,
-            "parse_bundle: bundle format " + std::to_string(version) +
-                " is newer than this build supports (max format " +
-                std::to_string(ModelBundle::kCurrentFormatVersion) +
-                "); regenerate the file or upgrade exareq");
+            static_cast<double>(version) == value && version >= 1, [&] {
+              return "parse_bundle: bad format version '" + number + "'";
+            });
+        exareq::require(version <= ModelBundle::kCurrentFormatVersion, [&] {
+          return "parse_bundle: bundle format " + std::to_string(version) +
+                 " is newer than this build supports (max format " +
+                 std::to_string(ModelBundle::kCurrentFormatVersion) +
+                 "); regenerate the file or upgrade exareq";
+        });
         bundle.format_version = version;
       } else {
         pending_label = comment;
@@ -216,9 +221,10 @@ ModelBundle parse_bundle(const std::string& text) {
       continue;
     }
     // A model block runs from its "model v1" line through "end".
-    exareq::require(content == "model v1",
-                    "parse_bundle: expected '# label' or 'model v1', got '" +
-                        content + "'");
+    exareq::require(content == "model v1", [&] {
+      return "parse_bundle: expected '# label' or 'model v1', got '" + content +
+             "'";
+    });
     std::string block = content + '\n';
     bool closed = false;
     while (std::getline(is, line)) {

@@ -89,9 +89,11 @@ Counter& MetricRegistry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = counters_.find(name);
   if (it != counters_.end()) return *it->second;
-  exareq::require(!contains(gauges_, name) && !contains(histograms_, name),
-                  "MetricRegistry: '" + std::string(name) +
-                      "' is already registered as a different kind");
+  exareq::require(
+      !contains(gauges_, name) && !contains(histograms_, name), [&] {
+        return "MetricRegistry: '" + std::string(name) +
+               "' is already registered as a different kind";
+      });
   return *counters_.emplace(std::string(name), std::make_unique<Counter>())
               .first->second;
 }
@@ -100,9 +102,11 @@ Gauge& MetricRegistry::gauge(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = gauges_.find(name);
   if (it != gauges_.end()) return *it->second;
-  exareq::require(!contains(counters_, name) && !contains(histograms_, name),
-                  "MetricRegistry: '" + std::string(name) +
-                      "' is already registered as a different kind");
+  exareq::require(
+      !contains(counters_, name) && !contains(histograms_, name), [&] {
+        return "MetricRegistry: '" + std::string(name) +
+               "' is already registered as a different kind";
+      });
   return *gauges_.emplace(std::string(name), std::make_unique<Gauge>())
               .first->second;
 }
@@ -111,9 +115,10 @@ LatencyHistogram& MetricRegistry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) return *it->second;
-  exareq::require(!contains(counters_, name) && !contains(gauges_, name),
-                  "MetricRegistry: '" + std::string(name) +
-                      "' is already registered as a different kind");
+  exareq::require(!contains(counters_, name) && !contains(gauges_, name), [&] {
+    return "MetricRegistry: '" + std::string(name) +
+           "' is already registered as a different kind";
+  });
   return *histograms_
               .emplace(std::string(name), std::make_unique<LatencyHistogram>())
               .first->second;

@@ -13,16 +13,17 @@ namespace {
 void require_positive_integer(const exareq::CsvDocument& doc, std::size_t row,
                               std::size_t column, const char* what) {
   const double value = doc.number_at(row, column);
-  exareq::require(value >= 1.0 && value == std::floor(value),
-                  std::string("ingest row ") + std::to_string(row + 1) + ": " +
-                      what + " must be a positive integer, got '" +
-                      doc.rows()[row][column] + "'");
+  exareq::require(value >= 1.0 && value == std::floor(value), [&] {
+    return std::string("ingest row ") + std::to_string(row + 1) + ": " + what +
+           " must be a positive integer, got '" + doc.rows()[row][column] + "'";
+  });
 }
 
 void require_non_negative(double value, std::size_t row, const char* what) {
-  exareq::require(value >= 0.0, std::string("ingest row ") +
-                                    std::to_string(row + 1) + ": " + what +
-                                    " must be non-negative");
+  exareq::require(value >= 0.0, [&] {
+    return std::string("ingest row ") + std::to_string(row + 1) + ": " + what +
+           " must be non-negative";
+  });
 }
 
 }  // namespace

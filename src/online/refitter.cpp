@@ -25,6 +25,13 @@ RefitOutcome IncrementalRefitter::refit(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     pipeline::CampaignData& dataset = datasets_[app];
+    const auto fitted = fitted_rows_.find(app);
+    if (new_rows.empty() && fitted != fitted_rows_.end() &&
+        fitted->second == dataset.measurements.size()) {
+      // Every accepted row is already in the last fit: nothing to do.
+      outcome.rows_total = fitted->second;
+      return outcome;
+    }
     dataset.app_name = app;
     dataset.measurements.insert(dataset.measurements.end(),
                                 std::make_move_iterator(new_rows.begin()),
@@ -41,9 +48,16 @@ RefitOutcome IncrementalRefitter::refit(
   if (!registry_.try_begin_fit(app)) {
     // A query-triggered fit (or another refit) holds the single-flight
     // gate; the rows stay accumulated and the caller retries.
+    outcome.busy = true;
     return outcome;
   }
   outcome.attempted = true;
+  {
+    // Whether or not the fit succeeds, a retry without new rows would fit
+    // the same snapshot to the same result.
+    std::lock_guard<std::mutex> lock(mutex_);
+    fitted_rows_[app] = outcome.rows_total;
+  }
 
   obs::ScopedSpan span("online_refit", "online");
   span.arg("rows", static_cast<double>(outcome.rows_total));

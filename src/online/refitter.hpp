@@ -43,7 +43,8 @@ struct RefitterOptions {
 
 /// What one refit attempt did (all fields valid regardless of outcome).
 struct RefitOutcome {
-  bool attempted = false;    ///< false: single-flight gate was busy, retry
+  bool attempted = false;    ///< a fit ran (successfully or not)
+  bool busy = false;         ///< single-flight gate was busy: rows kept, retry
   bool published = false;    ///< a new version went live (maybe rolled back)
   bool rolled_back = false;  ///< quality guard restored the previous version
   std::uint64_t version = 0;           ///< published version id (0 if none)
@@ -69,7 +70,10 @@ class IncrementalRefitter {
 
   /// Appends `new_rows` (possibly empty, e.g. a retry after a busy gate) to
   /// the application's dataset of record and attempts one refit over it.
-  /// Never throws: fit errors are reported in the outcome.
+  /// A no-op (nothing attempted, nothing published) when no row arrived
+  /// since the last completed fit of this application, so a duplicate
+  /// trigger cannot publish a second version of the same data. Never
+  /// throws: fit errors are reported in the outcome.
   RefitOutcome refit(const std::string& app,
                      std::vector<pipeline::AppMeasurement> new_rows);
 
@@ -85,6 +89,8 @@ class IncrementalRefitter {
   FitFn fit_;
   mutable std::mutex mutex_;
   std::map<std::string, pipeline::CampaignData> datasets_;
+  /// Dataset size at each application's last completed fit attempt.
+  std::map<std::string, std::size_t> fitted_rows_;
 };
 
 }  // namespace exareq::online

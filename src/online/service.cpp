@@ -126,7 +126,7 @@ void OnlineService::worker_loop() {
 
     auto& metrics = obs::MetricRegistry::instance();
     lock.lock();
-    if (!outcome.attempted && outcome.rows_total > 0) {
+    if (outcome.busy) {
       // The registry's single-flight gate was busy (a query-triggered fit
       // of the same app is running); the rows are already accumulated in
       // the refitter, so retry shortly with an empty batch.

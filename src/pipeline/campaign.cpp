@@ -199,9 +199,9 @@ CampaignData CampaignData::from_csv(const exareq::CsvDocument& doc,
     const std::string& title = doc.header()[c];
     if (title.rfind("chan:", 0) != 0) continue;
     const std::size_t second_colon = title.find(':', 5);
-    exareq::require(second_colon != std::string::npos,
-                    "CampaignData::from_csv: malformed channel column '" +
-                        title + "'");
+    exareq::require(second_colon != std::string::npos, [&] {
+      return "CampaignData::from_csv: malformed channel column '" + title + "'";
+    });
     ChannelColumn column;
     column.column = c;
     column.name = title.substr(second_colon + 1);

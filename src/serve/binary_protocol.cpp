@@ -34,75 +34,23 @@ void put_f64(std::string& out, double value) {
 }
 
 void put_str16(std::string& out, std::string_view text, const char* what) {
-  exareq::require(text.size() <= std::numeric_limits<std::uint16_t>::max(),
-                  std::string("binary: ") + what + " exceeds " +
-                      std::to_string(std::numeric_limits<std::uint16_t>::max()) +
-                      " bytes");
+  constexpr auto kMax = std::numeric_limits<std::uint16_t>::max();
+  exareq::require(text.size() <= kMax, [&] {
+    return std::string("binary: ") + what + " exceeds " +
+           std::to_string(kMax) + " bytes";
+  });
   put_u16(out, static_cast<std::uint16_t>(text.size()));
   out.append(text);
 }
 
 void put_str32(std::string& out, std::string_view text, const char* what) {
-  exareq::require(text.size() <= std::numeric_limits<std::uint32_t>::max(),
-                  std::string("binary: ") + what + " exceeds a u32 length");
+  constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
+  exareq::require(text.size() <= kMax, [&] {
+    return std::string("binary: ") + what + " exceeds a u32 length";
+  });
   put_u32(out, static_cast<std::uint32_t>(text.size()));
   out.append(text);
 }
-
-/// Cursor over a frame payload. Every read checks the remaining length and
-/// throws InvalidArgument on truncation, so malformed frames from a fuzzer
-/// or a buggy client can never read out of bounds.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  std::uint8_t u8(const char* what) { return take(1, what)[0]; }
-
-  std::uint16_t u16(const char* what) {
-    const unsigned char* p = take(2, what);
-    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-  }
-
-  std::uint32_t u32(const char* what) {
-    const unsigned char* p = take(4, what);
-    return static_cast<std::uint32_t>(p[0]) |
-           (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
-  }
-
-  double f64(const char* what) {
-    const unsigned char* p = take(8, what);
-    std::uint64_t bits = 0;
-    for (int i = 7; i >= 0; --i) bits = (bits << 8) | p[i];
-    double value = 0.0;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
-  }
-
-  std::string_view bytes(std::size_t count, const char* what) {
-    const char* begin = reinterpret_cast<const char*>(take(count, what));
-    return std::string_view(begin, count);
-  }
-
-  std::string_view str16(const char* what) { return bytes(u16(what), what); }
-  std::string_view str32(const char* what) { return bytes(u32(what), what); }
-
-  std::size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  const unsigned char* take(std::size_t count, const char* what) {
-    exareq::require(remaining() >= count,
-                    std::string("binary: frame truncated reading ") + what);
-    const unsigned char* p =
-        reinterpret_cast<const unsigned char*>(data_.data()) + pos_;
-    pos_ += count;
-    return p;
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
 
 std::string frame_header(std::uint8_t magic, std::size_t payload_bytes) {
   exareq::require(payload_bytes <= std::numeric_limits<std::uint32_t>::max(),
@@ -123,25 +71,27 @@ Reader open_frame(std::string_view frame, std::uint8_t expected_magic) {
                   "binary: frame shorter than its 8-byte header");
   Reader header(frame.substr(0, kHeaderBytes));
   const std::uint8_t magic = header.u8("magic");
-  exareq::require(magic == expected_magic,
-                  "binary: bad magic 0x" + std::to_string(magic) +
-                      " (expected 0x" + std::to_string(expected_magic) + ")");
+  exareq::require(magic == expected_magic, [&] {
+    return "binary: bad magic 0x" + std::to_string(magic) + " (expected 0x" +
+           std::to_string(expected_magic) + ")";
+  });
   const std::uint8_t version = header.u8("version");
-  exareq::require(version == kVersion,
-                  "binary: unsupported version " + std::to_string(version) +
-                      " (this server speaks version " +
-                      std::to_string(kVersion) + ")");
+  exareq::require(version == kVersion, [&] {
+    return "binary: unsupported version " + std::to_string(version) +
+           " (this server speaks version " + std::to_string(kVersion) + ")";
+  });
   const std::uint8_t kind = header.u8("kind");
-  exareq::require(kind == kKindBatch,
-                  "binary: unsupported frame kind " + std::to_string(kind));
+  exareq::require(kind == kKindBatch, [&] {
+    return "binary: unsupported frame kind " + std::to_string(kind);
+  });
   const std::uint8_t reserved = header.u8("reserved");
   exareq::require(reserved == 0, "binary: reserved header byte must be 0");
   const std::uint32_t payload_len = header.u32("payload length");
-  exareq::require(frame.size() - kHeaderBytes == payload_len,
-                  "binary: declared payload length " +
-                      std::to_string(payload_len) + " does not match the " +
-                      std::to_string(frame.size() - kHeaderBytes) +
-                      " bytes received");
+  exareq::require(frame.size() - kHeaderBytes == payload_len, [&] {
+    return "binary: declared payload length " + std::to_string(payload_len) +
+           " does not match the " +
+           std::to_string(frame.size() - kHeaderBytes) + " bytes received";
+  });
   return Reader(frame.substr(kHeaderBytes));
 }
 
@@ -153,8 +103,9 @@ Request RequestView::materialize() const {
     case Opcode::kEval:
       request.kind = RequestKind::kEval;
       request.app = std::string(app);
-      exareq::require(metric_id < metric_names().size(),
-                      "binary: unknown metric id " + std::to_string(metric_id));
+      exareq::require(metric_id < metric_names().size(), [&] {
+        return "binary: unknown metric id " + std::to_string(metric_id);
+      });
       request.metric = metric_names()[metric_id];
       request.p = p;
       request.n = n;
@@ -193,8 +144,9 @@ std::string encode_request_frame(const std::vector<Request>& requests) {
         const auto& names = metric_names();
         const auto it =
             std::find(names.begin(), names.end(), request.metric);
-        exareq::require(it != names.end(),
-                        "binary: unknown metric '" + request.metric + "'");
+        exareq::require(it != names.end(), [&] {
+          return "binary: unknown metric '" + request.metric + "'";
+        });
         put_u8(payload, static_cast<std::uint8_t>(Opcode::kEval));
         put_str16(payload, request.app, "application name");
         put_u8(payload, static_cast<std::uint8_t>(it - names.begin()));
@@ -247,9 +199,10 @@ std::vector<RequestView> decode_request_frame(std::string_view frame) {
   const std::uint32_t count = reader.u32("record count");
   // Every record is at least one opcode byte, so a count beyond the
   // remaining payload is malformed — reject before reserving memory for it.
-  exareq::require(count <= reader.remaining(),
-                  "binary: record count " + std::to_string(count) +
-                      " exceeds the frame payload");
+  exareq::require(count <= reader.remaining(), [&] {
+    return "binary: record count " + std::to_string(count) +
+           " exceeds the frame payload";
+  });
   std::vector<RequestView> views;
   views.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -288,26 +241,29 @@ std::vector<RequestView> decode_request_frame(std::string_view frame) {
     }
     views.push_back(view);
   }
-  exareq::require(reader.remaining() == 0,
-                  "binary: " + std::to_string(reader.remaining()) +
-                      " trailing bytes after the last record");
+  exareq::require(reader.remaining() == 0, [&] {
+    return "binary: " + std::to_string(reader.remaining()) +
+           " trailing bytes after the last record";
+  });
   return views;
 }
 
 std::vector<std::string> decode_response_frame(std::string_view frame) {
   Reader reader = open_frame(frame, kResponseMagic);
   const std::uint32_t count = reader.u32("record count");
-  exareq::require(count <= reader.remaining(),
-                  "binary: record count " + std::to_string(count) +
-                      " exceeds the frame payload");
+  exareq::require(count <= reader.remaining(), [&] {
+    return "binary: record count " + std::to_string(count) +
+           " exceeds the frame payload";
+  });
   std::vector<std::string> lines;
   lines.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     lines.emplace_back(reader.str32("response line"));
   }
-  exareq::require(reader.remaining() == 0,
-                  "binary: " + std::to_string(reader.remaining()) +
-                      " trailing bytes after the last record");
+  exareq::require(reader.remaining() == 0, [&] {
+    return "binary: " + std::to_string(reader.remaining()) +
+           " trailing bytes after the last record";
+  });
   return lines;
 }
 

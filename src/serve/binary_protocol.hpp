@@ -36,11 +36,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "serve/protocol.hpp"
+#include "support/error.hpp"
 
 namespace exareq::serve::binary {
 
@@ -96,6 +98,62 @@ std::string encode_request_frame(const std::vector<Request>& requests);
 
 /// Encodes response lines into one response frame (header included).
 std::string encode_response_frame(const std::vector<std::string>& lines);
+
+/// Cursor over a frame payload. Every read checks the remaining length and
+/// throws InvalidArgument on truncation, so malformed frames from a fuzzer
+/// or a buggy client can never read out of bounds.
+class Reader {
+ public:
+  explicit Reader(std::string_view data) : data_(data) {}
+
+  std::uint8_t u8(const char* what) { return take(1, what)[0]; }
+
+  std::uint16_t u16(const char* what) {
+    const unsigned char* p = take(2, what);
+    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
+  }
+
+  std::uint32_t u32(const char* what) {
+    const unsigned char* p = take(4, what);
+    return static_cast<std::uint32_t>(p[0]) |
+           (static_cast<std::uint32_t>(p[1]) << 8) |
+           (static_cast<std::uint32_t>(p[2]) << 16) |
+           (static_cast<std::uint32_t>(p[3]) << 24);
+  }
+
+  double f64(const char* what) {
+    const unsigned char* p = take(8, what);
+    std::uint64_t bits = 0;
+    for (int i = 7; i >= 0; --i) bits = (bits << 8) | p[i];
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    return value;
+  }
+
+  std::string_view bytes(std::size_t count, const char* what) {
+    const char* begin = reinterpret_cast<const char*>(take(count, what));
+    return std::string_view(begin, count);
+  }
+
+  std::string_view str16(const char* what) { return bytes(u16(what), what); }
+  std::string_view str32(const char* what) { return bytes(u32(what), what); }
+
+  std::size_t remaining() const { return data_.size() - pos_; }
+
+ private:
+  const unsigned char* take(std::size_t count, const char* what) {
+    exareq::require(remaining() >= count, [&] {
+      return std::string("binary: frame truncated reading ") + what;
+    });
+    const unsigned char* p =
+        reinterpret_cast<const unsigned char*>(data_.data()) + pos_;
+    pos_ += count;
+    return p;
+  }
+
+  std::string_view data_;
+  std::size_t pos_ = 0;
+};
 
 /// Decodes a complete request frame (header included) into views aliasing
 /// `frame`. Throws InvalidArgument on bad magic/version/kind, a length

@@ -19,8 +19,9 @@ namespace {
 sockaddr_un unix_address(const std::string& path) {
   sockaddr_un address{};
   address.sun_family = AF_UNIX;
-  exareq::require(path.size() < sizeof(address.sun_path),
-                  "socket path '" + path + "' is too long");
+  exareq::require(path.size() < sizeof(address.sun_path), [&] {
+    return "socket path '" + path + "' is too long";
+  });
   std::memcpy(address.sun_path, path.c_str(), path.size() + 1);
   return address;
 }
@@ -29,8 +30,10 @@ sockaddr_in tcp_address(const std::string& host, int port) {
   sockaddr_in address{};
   address.sin_family = AF_INET;
   address.sin_port = htons(static_cast<std::uint16_t>(port));
-  exareq::require(::inet_pton(AF_INET, host.c_str(), &address.sin_addr) == 1,
-                  "bad TCP host '" + host + "' (expected an IPv4 address)");
+  const int parsed = ::inet_pton(AF_INET, host.c_str(), &address.sin_addr);
+  exareq::require(parsed == 1, [&] {
+    return "bad TCP host '" + host + "' (expected an IPv4 address)";
+  });
   return address;
 }
 

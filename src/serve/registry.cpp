@@ -83,12 +83,15 @@ void ModelRegistry::end_fit(const std::string& app, bool completed) {
 
 std::string ModelRegistry::load_file(const std::string& path) {
   std::ifstream file(path);
-  exareq::require(file.good(), "cannot open model file '" + path + "'");
+  exareq::require(file.good(), [&] {
+    return "cannot open model file '" + path + "'";
+  });
   std::stringstream content;
   content << file.rdbuf();
   const model::ModelBundle bundle = model::parse_bundle(content.str());
-  exareq::require(!bundle.name.empty(),
-                  "model file '" + path + "' has no application name header");
+  exareq::require(!bundle.name.empty(), [&] {
+    return "model file '" + path + "' has no application name header";
+  });
 
   codesign::AppRequirements requirements;
   requirements.name = bundle.name;
@@ -121,9 +124,11 @@ std::string ModelRegistry::load_file(const std::string& path) {
   }
   exareq::require(
       have_footprint && have_flops && have_comm && have_loads && have_stack,
-      "model file '" + path +
-          "' must contain footprint, flops, comm_bytes, loads_stores and "
-          "stack_distance models");
+      [&] {
+        return "model file '" + path +
+               "' must contain footprint, flops, comm_bytes, loads_stores "
+               "and stack_distance models";
+      });
   publish(std::move(requirements), online::VersionSource::kFile);
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.files_loaded;
@@ -171,9 +176,10 @@ std::shared_ptr<const codesign::AppRequirements> ModelRegistry::get(
     }
     break;
   }
-  exareq::require(static_cast<bool>(fitter_),
-                  "no models loaded for '" + app +
-                      "' and the registry has no fit-on-demand callback");
+  exareq::require(static_cast<bool>(fitter_), [&] {
+    return "no models loaded for '" + app +
+           "' and the registry has no fit-on-demand callback";
+  });
   entries_[key].fitting = true;
   ++stats_.fits_started;
   ++stats_.in_flight_fits;

@@ -13,70 +13,10 @@
 namespace exareq::serve {
 namespace {
 
-/// Work envelopes travel on this tag; replies use per-batch ticket tags
-/// in [1, simmpi::kUserTagLimit).
-constexpr simmpi::Tag kTagWork = 0;
-
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void put_u32_le(std::vector<std::byte>& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::byte>((value >> shift) & 0xFF));
-  }
-}
-
-void put_i64_le(std::vector<std::byte>& out, std::int64_t value) {
-  const auto bits = static_cast<std::uint64_t>(value);
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::byte>((bits >> shift) & 0xFF));
-  }
-}
-
-std::uint32_t read_u32_le(const std::byte* p) {
-  std::uint32_t value = 0;
-  for (int i = 3; i >= 0; --i) {
-    value = (value << 8) | std::to_integer<std::uint32_t>(p[i]);
-  }
-  return value;
-}
-
-std::int64_t read_i64_le(const std::byte* p) {
-  std::uint64_t bits = 0;
-  for (int i = 7; i >= 0; --i) {
-    bits = (bits << 8) | std::to_integer<std::uint64_t>(p[i]);
-  }
-  return static_cast<std::int64_t>(bits);
-}
-
-/// [reply_tag u32][enqueue_ns i64][request frame]
-constexpr std::size_t kWorkHeaderBytes = 12;
-
-std::vector<std::byte> pack_work(std::uint32_t reply_tag,
-                                 std::int64_t enqueue_ns,
-                                 std::string_view frame) {
-  std::vector<std::byte> payload;
-  payload.reserve(kWorkHeaderBytes + frame.size());
-  put_u32_le(payload, reply_tag);
-  put_i64_le(payload, enqueue_ns);
-  for (const char byte : frame) {
-    payload.push_back(static_cast<std::byte>(byte));
-  }
-  return payload;
-}
-
-std::string bytes_to_string(const std::vector<std::byte>& bytes,
-                            std::size_t offset) {
-  return std::string(reinterpret_cast<const char*>(bytes.data()) + offset,
-                     bytes.size() - offset);
-}
-
-std::vector<std::byte> string_to_bytes(std::string_view text) {
-  const auto* data = reinterpret_cast<const std::byte*>(text.data());
-  return std::vector<std::byte>(data, data + text.size());
 }
 
 }  // namespace
@@ -87,11 +27,9 @@ ShardedServer::ShardedServer(ShardedServerOptions options,
   exareq::require(options_.shards >= 1, "ShardedServer: shards must be >= 1");
   exareq::require(options_.queue_capacity >= 1,
                   "ShardedServer: queue capacity must be >= 1");
-  front_rank_ = static_cast<int>(options_.shards);
-  runtime_ = std::make_unique<simmpi::Runtime>(front_rank_ + 1);
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
-    auto shard = std::make_unique<Shard>();
+    auto shard = std::make_unique<Shard>(options_.queue_capacity);
     shard->registry =
         factory ? factory() : std::make_unique<ModelRegistry>();
     exareq::require(shard->registry != nullptr,
@@ -152,8 +90,9 @@ std::string ShardedServer::load_file(const std::string& path) {
   ModelRegistry scratch;
   const std::string name = scratch.load_file(path);
   const auto models = scratch.find(name);
-  exareq::require(models != nullptr,
-                  "model file '" + path + "' loaded no usable bundle");
+  exareq::require(models != nullptr, [&] {
+    return "model file '" + path + "' loaded no usable bundle";
+  });
   registry(shard_of(name))
       .publish(*models, online::VersionSource::kFile);
   return name;
@@ -191,8 +130,7 @@ std::vector<std::string> ShardedServer::submit_batch(
   }
 
   struct Pending {
-    std::size_t shard;
-    simmpi::Tag ticket;
+    std::future<std::string> reply;
     const std::vector<std::size_t>* indices;
   };
   std::vector<Pending> pending;
@@ -200,10 +138,17 @@ std::vector<std::string> ShardedServer::submit_batch(
   for (std::size_t shard = 0; shard < buckets.size(); ++shard) {
     const std::vector<std::size_t>& indices = buckets[shard];
     if (indices.empty()) continue;
-    Metrics& counters = shards_[shard]->metrics;
+    Shard& target = *shards_[shard];
+    Metrics& counters = target.metrics;
     counters.requests.fetch_add(indices.size(), std::memory_order_relaxed);
-    if (runtime_->mailbox(static_cast<simmpi::Rank>(shard)).pending() >=
-        options_.queue_capacity) {
+    std::vector<Request> sub;
+    sub.reserve(indices.size());
+    for (const std::size_t index : indices) sub.push_back(requests[index]);
+    Batch batch;
+    batch.frame = binary::encode_request_frame(sub);
+    batch.enqueue_ns = enqueue_ns;
+    std::future<std::string> reply = batch.reply.get_future();
+    if (!target.queue.try_push(batch)) {
       counters.sheds.fetch_add(indices.size(), std::memory_order_relaxed);
       counters.responses_error.fetch_add(indices.size(),
                                          std::memory_order_relaxed);
@@ -213,30 +158,15 @@ std::vector<std::string> ShardedServer::submit_batch(
       for (const std::size_t index : indices) responses[index] = line;
       continue;
     }
-    std::vector<Request> sub;
-    sub.reserve(indices.size());
-    for (const std::size_t index : indices) sub.push_back(requests[index]);
-    const std::string frame = binary::encode_request_frame(sub);
-    const simmpi::Tag ticket =
-        1 + static_cast<simmpi::Tag>(
-                next_ticket_.fetch_add(1, std::memory_order_relaxed) %
-                static_cast<std::uint32_t>(simmpi::kUserTagLimit - 1));
-    runtime_->mailbox(static_cast<simmpi::Rank>(shard))
-        .put(simmpi::Envelope{front_rank_, kTagWork,
-                              pack_work(static_cast<std::uint32_t>(ticket),
-                                        enqueue_ns, frame)});
     batches_.fetch_add(1, std::memory_order_relaxed);
-    pending.push_back(Pending{shard, ticket, &indices});
+    pending.push_back(Pending{std::move(reply), &indices});
   }
 
   // Collect replies; the buckets execute on their shards in parallel while
-  // this thread blocks on the first one's ticket.
-  for (const Pending& wait : pending) {
-    const simmpi::Envelope reply =
-        runtime_->mailbox(front_rank_)
-            .get(static_cast<simmpi::Rank>(wait.shard), wait.ticket);
+  // this thread waits for the first one's reply slot.
+  for (Pending& wait : pending) {
     const std::vector<std::string> lines =
-        binary::decode_response_frame(bytes_to_string(reply.payload, 0));
+        binary::decode_response_frame(wait.reply.get());
     const std::vector<std::size_t>& indices = *wait.indices;
     for (std::size_t i = 0; i < indices.size(); ++i) {
       responses[indices[i]] =
@@ -266,23 +196,17 @@ std::string ShardedServer::handle_line(const std::string& line) {
 
 void ShardedServer::shard_loop(std::size_t shard_index) {
   Shard& shard = *shards_[shard_index];
-  simmpi::Mailbox& inbox =
-      runtime_->mailbox(static_cast<simmpi::Rank>(shard_index));
   const std::int64_t deadline_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(options_.deadline)
           .count();
-  for (;;) {
-    simmpi::Envelope work = inbox.get(simmpi::kAnySource, kTagWork);
-    if (work.payload.empty()) return;  // poison: stop this shard
+  while (std::optional<Batch> batch = shard.queue.pop()) {
     obs::ScopedSpan span("serve_shard_batch", "serve");
-    const std::uint32_t reply_tag = read_u32_le(work.payload.data());
-    const std::int64_t enqueue_ns = read_i64_le(work.payload.data() + 4);
+    const std::int64_t enqueue_ns = batch->enqueue_ns;
 
     std::vector<std::string> lines;
     try {
-      const std::string frame = bytes_to_string(work.payload, kWorkHeaderBytes);
       const std::vector<binary::RequestView> views =
-          binary::decode_request_frame(frame);
+          binary::decode_request_frame(batch->frame);
       lines.reserve(views.size());
       const bool expired =
           deadline_ns > 0 && steady_now_ns() - enqueue_ns > deadline_ns;
@@ -313,11 +237,7 @@ void ShardedServer::shard_loop(std::size_t shard_index) {
       // (the front end fills unanswered records with an internal error).
       lines.assign(1, error_response("internal", error.what()));
     }
-    const std::string reply = binary::encode_response_frame(lines);
-    runtime_->mailbox(front_rank_)
-        .put(simmpi::Envelope{static_cast<simmpi::Rank>(shard_index),
-                              static_cast<simmpi::Tag>(reply_tag),
-                              string_to_bytes(reply)});
+    batch->reply.set_value(binary::encode_response_frame(lines));
   }
 }
 
@@ -403,8 +323,7 @@ std::vector<ShardStatus> ShardedServer::shard_statuses() const {
     ShardStatus status;
     status.shard = i;
     status.apps = shard.registry->app_names();
-    status.queue_depth =
-        runtime_->mailbox(static_cast<simmpi::Rank>(i)).pending();
+    status.queue_depth = shard.queue.size();
     shard.metrics.merge_into(status.metrics);
     const CacheStats cache = shard.cache->stats();
     status.metrics.cache_hits = cache.hits;
@@ -468,12 +387,9 @@ void ShardedServer::stop() {
   std::unique_lock<std::shared_mutex> lock(lifecycle_);
   if (joined_) return;
   joined_ = true;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    // Poison after every in-flight batch (shared holders) has finished;
-    // mailbox FIFO guarantees queued work is answered before the poison.
-    runtime_->mailbox(static_cast<simmpi::Rank>(i))
-        .put(simmpi::Envelope{front_rank_, kTagWork, {}});
-  }
+  // Close after every in-flight batch (shared holders) has finished; a
+  // shard answers everything queued before the close, then returns.
+  for (auto& shard : shards_) shard->queue.close();
   for (auto& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();
   }

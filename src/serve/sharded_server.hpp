@@ -8,27 +8,22 @@
 // partitioning by app gives conflict-free parallelism without any shared
 // mutable state on the hot path.
 //
-// Transport is simmpi, per the ROADMAP's "simmpi as the inter-worker
-// transport substitute": shard i is rank i of a simmpi::Runtime, the front
-// end is rank N, and every batch travels as one mailbox envelope:
-//
-//   front -> shard   tag kTagWork, payload:
-//                    [reply_tag u32 LE][enqueue_ns i64 LE][request frame]
-//   shard -> front   tag reply_tag, payload: [response frame]
-//
-// where the frames are the binary wire format (binary_protocol.hpp). The
-// reply tag is a per-batch ticket, so any number of client threads can park
-// in the front mailbox concurrently, each waiting on its own (shard, tag)
-// match. A poison envelope (empty payload) stops a shard; mailbox FIFO
-// guarantees all previously enqueued work is answered first.
+// Transport is one bounded MPSC queue per shard (support/mpsc_queue.hpp).
+// Every batch travels as one work item: the binary request frame
+// (binary_protocol.hpp), its enqueue time, and a reply slot — a promise the
+// shard fulfils with the binary response frame. Each client thread waits on
+// its own batches' reply slots, so any number of them can batch
+// concurrently. Closing a shard's queue stops the shard once it has
+// answered everything queued before the close.
 //
 // submit_batch is the one entry point: requests are bucketed by owning
 // shard, each bucket is encoded into one frame and dispatched, buckets
 // execute on their shards in parallel, and responses scatter back into
 // request order. A single request is a batch of one. Backpressure is
-// shed-per-bucket at admission (a shard's pending-envelope count beyond
-// queue_capacity sheds that bucket), and the deadline is checked when a
-// shard picks a batch up, mirroring the legacy Server's semantics.
+// shed-per-bucket at admission (a bucket aimed at a shard whose queue
+// already holds queue_capacity batches is shed), and the deadline is
+// checked when a shard picks a batch up, mirroring the legacy Server's
+// semantics.
 #pragma once
 
 #include <atomic>
@@ -36,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -50,15 +46,15 @@
 #include "serve/query_engine.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
-#include "simmpi/runtime.hpp"
+#include "support/mpsc_queue.hpp"
 
 namespace exareq::serve {
 
 struct ShardedServerOptions {
   /// Worker shards (>= 1). Each is one thread with its own registry/cache.
   std::size_t shards = 1;
-  /// Per-shard admission bound: a bucket aimed at a shard whose mailbox
-  /// already holds this many envelopes is shed instead of enqueued.
+  /// Per-shard admission bound: a bucket aimed at a shard whose queue
+  /// already holds this many batches is shed instead of enqueued.
   std::size_t queue_capacity = 256;
   /// Maximum queueing delay before a batch is dropped at pickup; 0 disables.
   std::chrono::milliseconds deadline{0};
@@ -71,7 +67,7 @@ struct ShardedServerOptions {
 struct ShardStatus {
   std::size_t shard = 0;
   std::vector<std::string> apps;  ///< models this shard owns, sorted
-  std::size_t queue_depth = 0;    ///< envelopes pending in the shard mailbox
+  std::size_t queue_depth = 0;    ///< batches waiting in the shard's queue
   MetricsSnapshot metrics;        ///< this shard's full serving snapshot
 };
 
@@ -134,13 +130,23 @@ class ShardedServer {
   /// cache hits, queue depth, p50) and any per-shard online sections.
   std::string status_report() const;
 
-  /// Stops accepting work, waits for in-flight batches, poisons and joins
-  /// every shard, publishes serve.shard.* obs metrics. Idempotent; called
-  /// by the destructor.
+  /// Stops accepting work, waits for in-flight batches, closes every
+  /// shard's queue and joins the shards, publishes serve.shard.* obs
+  /// metrics. Idempotent; called by the destructor.
   void stop();
 
  private:
+  /// One dispatched bucket: its request frame, when it was enqueued, and
+  /// the slot the shard answers with the response frame.
+  struct Batch {
+    std::string frame;
+    std::int64_t enqueue_ns = 0;
+    std::promise<std::string> reply;
+  };
+
   struct Shard {
+    explicit Shard(std::size_t capacity) : queue(capacity) {}
+    BoundedMpscQueue<Batch> queue;
     std::unique_ptr<ModelRegistry> registry;
     std::unique_ptr<ShardedLruCache> cache;
     std::unique_ptr<QueryEngine> engine;
@@ -155,20 +161,17 @@ class ShardedServer {
   void publish_metrics();
 
   ShardedServerOptions options_;
-  std::unique_ptr<simmpi::Runtime> runtime_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  int front_rank_ = 0;
 
   /// Front-end-side counters: status answers, sheds, parse failures.
   Metrics front_metrics_;
   std::atomic<std::uint64_t> batches_{0};  ///< frames dispatched to shards
 
-  std::atomic<std::uint32_t> next_ticket_{0};
   std::atomic<bool> stopping_{false};
   bool joined_ = false;  ///< guarded by lifecycle_ (unique)
 
-  /// submit_batch holds this shared; stop() takes it unique so shards are
-  /// only poisoned once every in-flight batch has its responses.
+  /// submit_batch holds this shared; stop() takes it unique so queues are
+  /// only closed once every in-flight batch has its responses.
   mutable std::shared_mutex lifecycle_;
 };
 

@@ -19,8 +19,9 @@ namespace {
 sockaddr_un socket_address(const std::string& path) {
   sockaddr_un address{};
   address.sun_family = AF_UNIX;
-  exareq::require(path.size() < sizeof(address.sun_path),
-                  "socket path '" + path + "' is too long");
+  exareq::require(path.size() < sizeof(address.sun_path), [&] {
+    return "socket path '" + path + "' is too long";
+  });
   std::memcpy(address.sun_path, path.c_str(), path.size() + 1);
   return address;
 }

@@ -72,8 +72,8 @@ std::vector<T> from_bytes(std::span<const std::byte> bytes) {
   return values;
 }
 
-/// Rank-local communicator handle. One instance per rank thread; not
-/// shareable across threads.
+/// Rank-local communicator handle. One instance per rank; not shareable
+/// between ranks.
 class Communicator {
  public:
   Communicator(Rank rank, Runtime& runtime);
@@ -89,7 +89,8 @@ class Communicator {
   /// Blocking receive matched by (source, tag).
   std::vector<std::byte> recv_bytes(Rank source, Tag tag);
 
-  /// True if a matching message is already queued.
+  /// True if a matching message is queued. When none is, the other
+  /// runnable ranks run first, so a rank polling in a loop makes progress.
   bool probe(Rank source, Tag tag) const;
 
   /// Receive from any source; returns the sender and the payload.
@@ -426,16 +427,6 @@ class Communicator {
   const std::string& channel() const { return channel_; }
 
  private:
-  static constexpr Tag kTagBarrier = kUserTagLimit + 1;
-  static constexpr Tag kTagBcast = kUserTagLimit + 2;
-  static constexpr Tag kTagAllreduce = kUserTagLimit + 3;
-  static constexpr Tag kTagReduce = kUserTagLimit + 4;
-  static constexpr Tag kTagAllgather = kUserTagLimit + 5;
-  static constexpr Tag kTagAlltoall = kUserTagLimit + 6;
-  static constexpr Tag kTagGather = kUserTagLimit + 7;
-  static constexpr Tag kTagScatter = kUserTagLimit + 8;
-  static constexpr Tag kTagScan = kUserTagLimit + 9;
-
   template <typename T, typename Op>
   static void combine(std::vector<T>& into, const std::vector<T>& other, Op op) {
     exareq::require(into.size() == other.size(),

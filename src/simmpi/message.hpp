@@ -17,6 +17,17 @@ using Tag = int;
 /// implementations reserve the range above it.
 inline constexpr Tag kUserTagLimit = 1 << 20;
 
+/// The reserved tags, one per collective algorithm.
+inline constexpr Tag kTagBarrier = kUserTagLimit + 1;
+inline constexpr Tag kTagBcast = kUserTagLimit + 2;
+inline constexpr Tag kTagAllreduce = kUserTagLimit + 3;
+inline constexpr Tag kTagReduce = kUserTagLimit + 4;
+inline constexpr Tag kTagAllgather = kUserTagLimit + 5;
+inline constexpr Tag kTagAlltoall = kUserTagLimit + 6;
+inline constexpr Tag kTagGather = kUserTagLimit + 7;
+inline constexpr Tag kTagScatter = kUserTagLimit + 8;
+inline constexpr Tag kTagScan = kUserTagLimit + 9;
+
 /// One in-flight message.
 struct Envelope {
   Rank source = 0;

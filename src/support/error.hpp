@@ -6,8 +6,12 @@
 // failures.
 #pragma once
 
+#include <concepts>
+#include <exception>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace exareq {
 
@@ -30,9 +34,59 @@ class NumericError : public Error {
   explicit NumericError(const std::string& what) : Error(what) {}
 };
 
-/// Throws InvalidArgument with `message` when `condition` is false.
-inline void require(bool condition, const std::string& message) {
-  if (!condition) throw InvalidArgument(message);
+namespace detail {
+// Out of line and cold, so an inlined check is a compare and a branch.
+[[noreturn, gnu::noinline, gnu::cold]] inline void throw_invalid_argument(
+    const char* message) {
+  throw InvalidArgument(message);
+}
+[[noreturn, gnu::noinline, gnu::cold]] inline void throw_invalid_argument(
+    const std::string& message) {
+  throw InvalidArgument(message);
+}
+}  // namespace detail
+
+/// Throws InvalidArgument with `message` when `condition` is false. A
+/// passing check costs one branch: the message is a literal, never built.
+inline void require(bool condition, const char* message) {
+  if (!condition) [[unlikely]] detail::throw_invalid_argument(message);
+}
+
+/// Throws InvalidArgument with the message `make_message()` returns when
+/// `condition` is false. The callable runs only on failure, so a passing
+/// check neither formats nor allocates:
+///   require(i < n, [&] { return "index " + std::to_string(i) + " is out"; });
+template <typename MakeMessage>
+  requires std::is_invocable_v<MakeMessage&> &&
+           std::convertible_to<std::invoke_result_t<MakeMessage&>, std::string>
+inline void require(bool condition, MakeMessage&& make_message) {
+  if (!condition) [[unlikely]] {
+    detail::throw_invalid_argument(std::string(make_message()));
+  }
+}
+
+/// An eagerly built message would be formatted (and usually allocated) on
+/// every passing check; pass a literal or a message-building callable.
+void require(bool condition, const std::string& message) = delete;
+
+/// Rethrows `error` with `prefix` prepended to its message. The exareq
+/// exception types are preserved (InvalidArgument, NumericError, Error);
+/// other std::exceptions become Error, and exceptions that carry no message
+/// propagate unchanged.
+[[noreturn]] inline void rethrow_with_prefix(const std::exception_ptr& error,
+                                             std::string_view prefix) {
+  const std::string head(prefix);
+  try {
+    std::rethrow_exception(error);
+  } catch (const InvalidArgument& e) {
+    throw InvalidArgument(head + e.what());
+  } catch (const NumericError& e) {
+    throw NumericError(head + e.what());
+  } catch (const Error& e) {
+    throw Error(head + e.what());
+  } catch (const std::exception& e) {
+    throw Error(head + e.what());
+  }
 }
 
 }  // namespace exareq

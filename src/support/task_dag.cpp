@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <condition_variable>
 #include <mutex>
-#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -68,19 +67,7 @@ void TaskDag::finish_run() const {
   // Attach the failing task's name to the message while keeping the exareq
   // exception type, so callers matching on InvalidArgument/NumericError
   // still work and the report names the grid point that died.
-  const std::string context = "task '" + failing->name + "' failed: ";
-  try {
-    std::rethrow_exception(failing->error);
-  } catch (const InvalidArgument& e) {
-    throw InvalidArgument(context + e.what());
-  } catch (const NumericError& e) {
-    throw NumericError(context + e.what());
-  } catch (const Error& e) {
-    throw Error(context + e.what());
-  } catch (const std::exception& e) {
-    throw Error(context + e.what());
-  }
-  // Non-std exceptions carry no message to augment; propagate unchanged.
+  rethrow_with_prefix(failing->error, "task '" + failing->name + "' failed: ");
 }
 
 void TaskDag::run_serial() {

@@ -14,9 +14,10 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback,
   const char* end = text;
   while (*end != '\0') ++end;
   const auto [ptr, ec] = std::from_chars(text, end, value);
-  exareq::require(ec == std::errc{} && ptr == end && value >= minimum,
-                  std::string(name) + " must be an integer >= " +
-                      std::to_string(minimum) + ", got '" + text + "'");
+  exareq::require(ec == std::errc{} && ptr == end && value >= minimum, [&] {
+    return std::string(name) + " must be an integer >= " +
+           std::to_string(minimum) + ", got '" + text + "'";
+  });
   return value;
 }
 

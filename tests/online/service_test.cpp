@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "../serve/serve_test_util.hpp"
+#include "online/ingest.hpp"
 #include "online/refitter.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -58,6 +59,47 @@ struct ScriptedFitter {
     };
   }
 };
+
+/// `count` distinct measurement rows, as an ingest batch would carry them.
+std::vector<pipeline::AppMeasurement> rows(int count) {
+  return parse_ingest_payload(ingest_line("app", count).substr(
+      std::string("ingest app ").size()));
+}
+
+TEST(OnlineRefitterTest, EmptyRetryAfterACompletedFitPublishesNothing) {
+  // The service can trigger a key twice for one batch (a drain racing the
+  // worker's take); the second, row-less refit must not publish again.
+  serve::ModelRegistry registry;
+  ScriptedFitter fitter;
+  IncrementalRefitter refitter(registry, {}, fitter.fn());
+  const RefitOutcome first = refitter.refit("app", rows(3));
+  ASSERT_TRUE(first.published);
+  const RefitOutcome again = refitter.refit("app", {});
+  EXPECT_FALSE(again.attempted);
+  EXPECT_FALSE(again.published);
+  EXPECT_FALSE(again.busy);
+  EXPECT_EQ(again.rows_total, 3u);
+  EXPECT_EQ(fitter.calls.load(), 1);
+  EXPECT_EQ(registry.version_of("app")->version, first.version);
+  // New rows still refit.
+  EXPECT_TRUE(refitter.refit("app", rows(1)).published);
+  EXPECT_EQ(fitter.calls.load(), 2);
+}
+
+TEST(OnlineRefitterTest, BusyGateRetryFitsTheKeptRows) {
+  serve::ModelRegistry registry;
+  ScriptedFitter fitter;
+  IncrementalRefitter refitter(registry, {}, fitter.fn());
+  ASSERT_TRUE(registry.try_begin_fit("app"));  // a query-triggered fit
+  const RefitOutcome blocked = refitter.refit("app", rows(2));
+  EXPECT_TRUE(blocked.busy);
+  EXPECT_FALSE(blocked.attempted);
+  registry.end_fit("app", false);
+  const RefitOutcome retry = refitter.refit("app", {});
+  EXPECT_TRUE(retry.published);
+  EXPECT_EQ(retry.rows_total, 2u);
+  EXPECT_EQ(fitter.calls.load(), 1);
+}
 
 TEST(OnlineServiceTest, IngestThroughServerRefitsAndHotSwaps) {
   serve::ModelRegistry registry;

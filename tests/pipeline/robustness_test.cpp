@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "pipeline/campaign.hpp"
 #include "pipeline/codesign_bridge.hpp"
@@ -25,11 +28,11 @@ class FaultyApp final : public apps::Application {
     if (comm.size() == failing_p_ && comm.rank() == comm.size() - 1) {
       throw exareq::NumericError("injected failure");
     }
-    // Deliberately no communication after the failure point: a rank that
-    // throws leaves its peers permanently blocked if they wait on it (the
-    // runtime documents that failures are not fault-tolerant), so a
-    // well-formed failure test must not make survivors depend on the dead
-    // rank.
+    // The survivors then wait on the dead rank: the runtime must unwind
+    // them instead of letting the campaign hang.
+    comm.barrier();
+    const std::vector<double> one{1.0};
+    (void)comm.allreduce(std::span<const double>(one), simmpi::ops::Sum{});
   }
 
   void trace_locality(std::int64_t, memtrace::TraceSink& sink) const override {
@@ -42,12 +45,29 @@ class FaultyApp final : public apps::Application {
 };
 
 TEST(RobustnessTest, RankFailurePropagatesOutOfCampaign) {
-  // A rank failure must surface as the original exception, not hang the
-  // thread-per-rank runtime or corrupt other configurations.
+  // A rank failure must surface as the original exception type, naming
+  // the grid point and the rank, even though its peers were blocked on it.
   const FaultyApp app(4);
   CampaignConfig config;
   config.process_counts = {2, 4};
   config.problem_sizes = {32};
+  try {
+    (void)run_campaign(app, config);
+    ADD_FAILURE() << "the campaign should have failed";
+  } catch (const exareq::NumericError& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("measure p=4 n=32"), std::string::npos) << message;
+    EXPECT_NE(message.find("rank 3: injected failure"), std::string::npos)
+        << message;
+  }
+}
+
+TEST(RobustnessTest, RankFailureEndsAThreadedCampaign) {
+  const FaultyApp app(8);
+  CampaignConfig config;
+  config.process_counts = {2, 4, 8, 16};
+  config.problem_sizes = {32, 64};
+  config.threads = 4;
   EXPECT_THROW(run_campaign(app, config), exareq::NumericError);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 
 #include "support/error.hpp"
 
@@ -60,10 +61,144 @@ TEST(RuntimeTest, ExceptionsPropagateToCaller) {
                exareq::NumericError);
 }
 
+/// Runs `body` expecting it to throw `E`; returns the message.
+template <typename E, typename Body>
+std::string message_of(Body&& body) {
+  try {
+    body();
+  } catch (const E& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "expected an exception";
+  return {};
+}
+
+TEST(RuntimeTest, FailingRankUnwindsPeersBlockedInRecv) {
+  // Ranks 0, 1 and 3 wait for a message rank 2 never sends: they must
+  // unwind with RankAborted, and run() must report rank 2's own error.
+  std::atomic<int> aborted{0};
+  const std::string message = message_of<exareq::NumericError>([&] {
+    run(4, [&aborted](Communicator& comm) {
+      if (comm.rank() == 2) throw exareq::NumericError("rank 2 failed");
+      try {
+        (void)comm.recv<double>(2, 11);
+      } catch (const RankAborted&) {
+        ++aborted;
+        throw;
+      }
+    });
+  });
+  EXPECT_EQ(message, "rank 2: rank 2 failed");
+  EXPECT_GE(aborted.load(), 2);  // ranks 0 and 1 were blocked before it threw
+}
+
+TEST(RuntimeTest, FailingRankUnwindsPeersBlockedInACollective) {
+  const std::string message = message_of<exareq::InvalidArgument>([] {
+    run(8, [](Communicator& comm) {
+      if (comm.rank() == 5) throw exareq::InvalidArgument("bad input");
+      const std::vector<double> one{1.0};
+      (void)comm.allreduce(std::span<const double>(one), ops::Sum{});
+    });
+  });
+  EXPECT_EQ(message, "rank 5: bad input");
+}
+
+TEST(RuntimeTest, LowestFailingRankIsReported) {
+  const std::string message = message_of<exareq::NumericError>([] {
+    run(6, [](Communicator& comm) {
+      if (comm.rank() >= 3) {
+        throw exareq::NumericError("failed at " + std::to_string(comm.rank()));
+      }
+      comm.barrier();
+    });
+  });
+  EXPECT_EQ(message, "rank 3: failed at 3");
+}
+
+TEST(RuntimeTest, DeadlockNamesEveryBlockedRankAndItsReceive) {
+  // Each rank waits for its right neighbour, which waits in turn.
+  const std::string message = message_of<exareq::Error>([] {
+    run(3, [](Communicator& comm) {
+      (void)comm.recv_bytes((comm.rank() + 1) % comm.size(), 7);
+    });
+  });
+  EXPECT_NE(message.find("deadlock"), std::string::npos) << message;
+  EXPECT_NE(message.find("rank 0 waits for (source 1, tag 7)"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("rank 1 waits for (source 2, tag 7)"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("rank 2 waits for (source 0, tag 7)"),
+            std::string::npos)
+      << message;
+}
+
+TEST(RuntimeTest, DeadlockInACollectiveNamesIt) {
+  // Rank 3 skips the barrier and returns; the others can never finish it.
+  const std::string message = message_of<exareq::Error>([] {
+    run(4, [](Communicator& comm) {
+      if (comm.rank() != 3) comm.barrier();
+    });
+  });
+  EXPECT_NE(message.find("tag barrier"), std::string::npos) << message;
+  EXPECT_EQ(message.find("rank 3 waits"), std::string::npos) << message;
+}
+
+TEST(RuntimeTest, AnySourceWaitIsReported) {
+  const std::string message = message_of<exareq::Error>([] {
+    run(2, [](Communicator& comm) { (void)comm.recv_bytes_any(4); });
+  });
+  EXPECT_NE(message.find("rank 1 waits for (source any, tag 4)"),
+            std::string::npos)
+      << message;
+}
+
+TEST(RuntimeTest, ProbeLetsTheSenderRun) {
+  // Rank 0 polls before rank 1 has run; probe must yield or this spins.
+  run(2, [](Communicator& comm) {
+    if (comm.rank() == 0) {
+      int polls = 0;
+      while (!comm.probe(1, 3)) ++polls;
+      EXPECT_GE(polls, 0);
+      EXPECT_EQ(comm.recv<int>(1, 3)[0], 42);
+    } else {
+      comm.send<int>(0, 3, std::vector<int>{42});
+    }
+  });
+}
+
+TEST(RuntimeTest, ThousandRankBarrierAndAllreduceMatchClosedForm) {
+  // Well past the old 512-rank cap. Allreduce of s bytes costs each rank
+  // 2 * s * log2(p) bytes; the barrier 2 * ceil(log2 p) one-byte tokens.
+  constexpr int p = 1024;
+  constexpr std::uint64_t kLog2P = 10;
+  constexpr std::uint64_t s = 8 * sizeof(double);
+  std::vector<double> sums(p);
+  const RunResult result = run(p, [&sums](Communicator& comm) {
+    {
+      ChannelScope channel(comm, "barrier");
+      comm.barrier();
+    }
+    ChannelScope channel(comm, "allreduce");
+    const std::vector<double> mine(8, static_cast<double>(comm.rank()));
+    sums[static_cast<std::size_t>(comm.rank())] =
+        comm.allreduce(std::span<const double>(mine), ops::Sum{})[3];
+  });
+  for (int r = 0; r < p; ++r) {
+    const CommStats& stats = result.stats[static_cast<std::size_t>(r)];
+    EXPECT_EQ(stats.channels.at("allreduce").bytes_total(), 2 * s * kLog2P);
+    EXPECT_EQ(stats.channels.at("barrier").bytes_total(), 2 * kLog2P);
+    EXPECT_EQ(sums[static_cast<std::size_t>(r)], p * (p - 1) / 2.0);
+  }
+}
+
 TEST(RuntimeTest, RejectsInvalidSizes) {
   EXPECT_THROW(run(0, [](Communicator&) {}), exareq::InvalidArgument);
   EXPECT_THROW(run(-3, [](Communicator&) {}), exareq::InvalidArgument);
   EXPECT_THROW(run(100000, [](Communicator&) {}), exareq::InvalidArgument);
+  EXPECT_THROW(run(kMaxRanks + 1, [](Communicator&) {}),
+               exareq::InvalidArgument);
 }
 
 TEST(RuntimeTest, RejectsNullFunction) {
