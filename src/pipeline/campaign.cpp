@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -74,6 +75,19 @@ std::optional<std::size_t> optional_column(const exareq::CsvDocument& doc,
     if (doc.header()[c] == title) return c;
   }
   return std::nullopt;
+}
+
+/// Indices of a grid axis ordered by descending value (ties keep index
+/// order), so the campaign can schedule its largest grid points first.
+template <typename T>
+std::vector<std::size_t> largest_first(const std::vector<T>& axis) {
+  std::vector<std::size_t> order(axis.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&axis](std::size_t a, std::size_t b) {
+                     return axis[a] > axis[b];
+                   });
+  return order;
 }
 
 }  // namespace
@@ -262,7 +276,7 @@ CampaignData run_campaign(const apps::Application& app,
   CampaignData data;
   data.app_name = app.name();
   // Every grid point writes its own preallocated slot (row-major: n outer,
-  // p inner — the serial iteration order), so the campaign can run on any
+  // p inner), so the campaign can run its points in any order on any
   // number of threads and still produce bit-identical measurements.
   data.measurements.resize(slot_count);
 
@@ -325,19 +339,25 @@ CampaignData run_campaign(const apps::Application& app,
   no_locality.enabled = false;
 
   // Task ids double as the scheduling priority (both run_serial and the
-  // pooled min-heap prefer smaller ids), so tasks are created in per-n
-  // blocks — measurements, then the locality trace, then the checkpoint
-  // appends of that n. A killed checkpointed campaign therefore leaves the
-  // finished problem sizes on disk instead of batching every append behind
-  // the whole grid's measurements.
+  // pooled min-heap prefer smaller ids), so creation order is execution
+  // order. Measurements are created largest first — rows from the largest n
+  // down, and within a row from the largest p down. A grid point's work
+  // grows with both p and n and one point runs on one pool thread, so this
+  // is the longest-processing-time-first rule: the biggest simmpi jobs start
+  // at once instead of trailing the pass on a single thread while the rest
+  // of the pool idles. Tasks still come in per-n blocks — measurements, then
+  // the locality trace, then the checkpoint appends of that n — so a killed
+  // checkpointed campaign leaves the finished problem sizes on disk instead
+  // of batching every append behind the whole grid's measurements.
   constexpr std::size_t kNoTask = static_cast<std::size_t>(-1);
+  const std::vector<std::size_t> p_order = largest_first(config.process_counts);
   TaskDag dag;
   std::vector<std::size_t> measure_task(slot_count, kNoTask);
   std::vector<double> stack_distances(n_count, 0.0);
   std::vector<std::size_t> locality_task(n_count, kNoTask);
-  for (std::size_t n_idx = 0; n_idx < n_count; ++n_idx) {
+  for (const std::size_t n_idx : largest_first(config.problem_sizes)) {
     bool any_missing = false;
-    for (std::size_t p_idx = 0; p_idx < p_count; ++p_idx) {
+    for (const std::size_t p_idx : p_order) {
       const std::size_t slot = n_idx * p_count + p_idx;
       if (loaded[slot] != 0) continue;
       any_missing = true;
@@ -359,17 +379,19 @@ CampaignData run_campaign(const apps::Application& app,
           [&app, &config, &data, &stack_distances, n_idx, p_count] {
         memtrace::LocalityAnalyzer analyzer(config.locality.config);
         app.trace_locality(config.problem_sizes[n_idx], analyzer);
-        // Access-count scaling uses the loads/stores of the first grid point
-        // at this n — exactly the measurement locality used to piggyback on
-        // in the serial campaign.
+        // Access-count scaling uses the loads/stores of the process_counts[0]
+        // point at this n — exactly the measurement locality used to
+        // piggyback on in the serial campaign.
         const double loads_stores =
             data.measurements[n_idx * p_count].loads_stores;
         stack_distances[n_idx] =
             analyzer.finish(loads_stores).weighted_median_stack_distance;
       });
       locality_task[n_idx] = task;
-      // A resumed first grid point is already in its slot; otherwise the
-      // locality trace must wait for its measurement.
+      // A resumed process_counts[0] point is already in its slot; otherwise
+      // the locality trace must wait for its measurement. The task is created
+      // after every measurement of its row, so the edge points backwards
+      // whatever the axis order.
       if (measure_task[n_idx * p_count] != kNoTask) {
         dag.depend(task, measure_task[n_idx * p_count]);
       }
@@ -381,7 +403,7 @@ CampaignData run_campaign(const apps::Application& app,
     // grid point fails are still persisted — the DAG only skips dependents
     // of the failing task, and the append happens before run_campaign
     // rethrows.
-    for (std::size_t p_idx = 0; p_idx < p_count; ++p_idx) {
+    for (const std::size_t p_idx : p_order) {
       const std::size_t slot = n_idx * p_count + p_idx;
       if (measure_task[slot] == kNoTask) continue;
       const std::size_t task = dag.add(

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace exareq::instr {
 namespace {
 
@@ -59,6 +61,56 @@ TEST(ProcessInstrumentationTest, CountersBeforeRegionGoToEnclosingScope) {
   const auto paths = instr.regions().flatten();
   EXPECT_EQ(paths[0].exclusive.flops, 5u);
   EXPECT_EQ(paths[1].exclusive.flops, 1u);
+}
+
+TEST(ProcessInstrumentationTest, NestedCountsSurviveRegionTreeGrowth) {
+  // Entering a new region may grow the profiler's node storage and so move
+  // every node; counts made before and after the move must stay on their
+  // own call paths, and the open region must keep receiving counts.
+  ProcessInstrumentation instr;
+  {
+    auto outer = instr.region("outer");
+    instr.count_flops(5);
+    {
+      auto inner = instr.region("inner");
+      instr.count_fma(2);  // 4 flops, 4 loads, 2 stores
+    }
+    const auto before = instr.regions().flatten();
+    ASSERT_EQ(before.size(), 3u);
+    for (int i = 0; i < 100; ++i) {
+      auto leaf = instr.region("leaf" + std::to_string(i));
+      instr.count_loads(1);
+    }
+    const auto after = instr.regions().flatten();
+    ASSERT_EQ(after.size(), 103u);
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(after[i].path, before[i].path);
+      EXPECT_EQ(after[i].exclusive, before[i].exclusive) << after[i].path;
+    }
+    EXPECT_EQ(after[2].inclusive, before[2].inclusive);
+
+    instr.count_flops(6);  // still attributed to "outer"
+    {
+      auto inner = instr.region("inner");  // re-enter the existing node
+      instr.count_stores(3);
+    }
+  }
+  instr.count_flops(1);  // root
+
+  const auto paths = instr.regions().flatten();
+  ASSERT_EQ(paths.size(), 103u);
+  EXPECT_EQ(paths[1].path, "outer");
+  EXPECT_EQ(paths[1].exclusive, (OpCounters{11, 0, 0}));
+  EXPECT_EQ(paths[1].inclusive, (OpCounters{15, 104, 5}));
+  EXPECT_EQ(paths[2].path, "outer/inner");
+  EXPECT_EQ(paths[2].visits, 2u);
+  EXPECT_EQ(paths[2].exclusive, (OpCounters{4, 4, 5}));
+  EXPECT_EQ(paths[2].inclusive, paths[2].exclusive);
+  EXPECT_EQ(paths[3].path, "outer/leaf0");
+  EXPECT_EQ(paths[3].exclusive, (OpCounters{0, 1, 0}));
+  EXPECT_EQ(paths[0].exclusive, (OpCounters{1, 0, 0}));
+  EXPECT_EQ(paths[0].inclusive, instr.report().ops);
+  EXPECT_EQ(instr.report().ops, (OpCounters{16, 104, 5}));
 }
 
 TEST(ProcessInstrumentationTest, ReportIsIdempotent) {

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/application.hpp"
@@ -113,8 +116,8 @@ class FlakyApp final : public apps::Application {
 };
 
 TEST(CampaignParallelTest, FailurePropagatesAndSparesIndependentWork) {
-  // A failing grid point aborts the campaign with the first (serial-order)
-  // error; grid points that do not depend on it still ran to completion.
+  // A failing grid point aborts the campaign with the first error in task
+  // order; grid points that do not depend on it still ran to completion.
   FlakyApp app(4);
   const CampaignConfig config = grid_with_threads(8);
   EXPECT_THROW(run_campaign(app, config), exareq::Error);
@@ -139,6 +142,115 @@ TEST(CampaignParallelTest, SerialFailureMatchesParallelFailure) {
   }
   EXPECT_FALSE(serial_error.empty());
   EXPECT_EQ(serial_error, parallel_error);
+  // p = 4 fails at every n; the largest-first order reaches n = 128 first.
+  EXPECT_NE(serial_error.find("measure p=4 n=128"), std::string::npos)
+      << serial_error;
+}
+
+// An application that records the order in which the campaign starts its
+// grid points (rank 0 of each job) and its locality traces (p = 0).
+class RecordingApp final : public apps::Application {
+ public:
+  using Start = std::pair<int, std::int64_t>;  // (p, n)
+
+  std::string name() const override { return "Recording"; }
+  std::string description() const override { return "records start order"; }
+  std::string problem_size_meaning() const override { return "elements"; }
+  std::int64_t min_problem_size() const override { return 1; }
+
+  void run_rank(simmpi::Communicator& comm,
+                instr::ProcessInstrumentation& instr,
+                std::int64_t n) const override {
+    if (comm.rank() == 0) record({comm.size(), n});
+    instr.count_flops(static_cast<std::uint64_t>(n));
+  }
+
+  void trace_locality(std::int64_t n,
+                      memtrace::TraceSink& sink) const override {
+    record({0, n});
+    const auto g = sink.register_group("g");
+    for (int i = 0; i < 2000; ++i) sink.record(0x10 + (i % 4), g);
+  }
+
+  std::vector<Start> starts() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return starts_;
+  }
+
+ private:
+  void record(Start start) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    starts_.push_back(start);
+  }
+
+  mutable std::mutex mutex_;
+  mutable std::vector<Start> starts_;
+};
+
+/// The serial start order of grid_with_threads(1): rows from the largest n
+/// down, process counts from the largest p down, each row's locality trace
+/// after its process_counts[0] (p = 2) point.
+std::vector<RecordingApp::Start> largest_first_order() {
+  std::vector<RecordingApp::Start> order;
+  for (const std::int64_t n : {128, 64, 32}) {
+    for (const int p : {8, 4, 2}) order.emplace_back(p, n);
+    order.emplace_back(0, n);
+  }
+  return order;
+}
+
+TEST(CampaignOrderTest, SerialCampaignRunsLargestGridPointsFirst) {
+  RecordingApp app;
+  const CampaignData data = run_campaign(app, grid_with_threads(1));
+  const std::vector<RecordingApp::Start> starts = app.starts();
+  ASSERT_FALSE(starts.empty());
+  EXPECT_EQ(starts.front(), RecordingApp::Start(8, 128));
+  EXPECT_EQ(starts, largest_first_order());
+  // The order is a schedule only: slots stay row-major (n outer, p inner).
+  ASSERT_EQ(data.measurements.size(), 9u);
+  EXPECT_EQ(data.measurements.front().processes, 2);
+  EXPECT_EQ(data.measurements.front().problem_size, 32);
+  EXPECT_EQ(data.measurements.back().processes, 8);
+  EXPECT_EQ(data.measurements.back().problem_size, 128);
+}
+
+TEST(CampaignOrderTest, OrderFollowsAxisValuesNotAxisPositions) {
+  RecordingApp app;
+  CampaignConfig config = grid_with_threads(1);
+  config.process_counts = {4, 8, 2};
+  config.problem_sizes = {64, 32, 128};
+  (void)run_campaign(app, config);
+  // Here each row's locality trace depends on its p = 4 point; it still
+  // runs after the whole row.
+  EXPECT_EQ(app.starts(), largest_first_order());
+}
+
+TEST(CampaignOrderTest, ResumedCampaignSkipsLoadedSlotsAndKeepsOrder) {
+  const std::string dir = ::testing::TempDir() + "exareq_campaign_order";
+  std::filesystem::remove_all(dir);
+  CampaignConfig config = grid_with_threads(1);
+  config.checkpoint.directory = dir;
+  config.checkpoint.fsync = false;
+  // Persist only the first two records: (p=8, n=128) and (p=4, n=128).
+  config.checkpoint.after_record = [](std::size_t records) {
+    if (records >= 2) throw exareq::Error("simulated kill");
+  };
+  RecordingApp killed;
+  EXPECT_THROW(run_campaign(killed, config), exareq::Error);
+  EXPECT_EQ(killed.starts(), largest_first_order());
+
+  config.checkpoint.after_record = nullptr;
+  config.checkpoint.resume = true;
+  RecordingApp resumed;
+  const CampaignData data = run_campaign(resumed, config);
+  std::vector<RecordingApp::Start> expected = largest_first_order();
+  expected.erase(expected.begin(), expected.begin() + 2);
+  EXPECT_EQ(resumed.starts(), expected);
+
+  RecordingApp reference;
+  EXPECT_EQ(data.to_csv().to_string(),
+            run_campaign(reference, grid_with_threads(1)).to_csv().to_string());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignStreamTest, StreamedLocalityEqualsMaterializedForEveryApp) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "instr/memory.hpp"
+#include "instr/process.hpp"
 #include "serve/binary_protocol.hpp"
 #include "simmpi/runtime.hpp"
 #include "support/error.hpp"
@@ -112,6 +113,27 @@ TEST(AllocGuardTest, TrackedBufferIndexingDoesNotAllocate) {
             0u);
   EXPECT_GT(sum, 0.0);
   EXPECT_THROW(buffer[64], InvalidArgument);
+}
+
+TEST(AllocGuardTest, OperationCountingInOpenRegionDoesNotAllocate) {
+  // Every kernel loop calls the count_* hooks; opening the region may
+  // allocate its node, counting inside it must not.
+  instr::ProcessInstrumentation instr;
+  const auto outer = instr.region("solve");
+  const auto inner = instr.region("a region name longer than fifteen");
+  EXPECT_EQ(allocations_during([&] {
+              for (int i = 0; i < kCalls; ++i) {
+                instr.count_flops(3);
+                instr.count_loads(2);
+                instr.count_stores(1);
+                instr.count_fma(1);
+              }
+            }),
+            0u);
+  const instr::OpCounters totals = instr.report().ops;
+  EXPECT_EQ(totals.flops, 5u * kCalls);
+  EXPECT_EQ(totals.loads, 4u * kCalls);
+  EXPECT_EQ(totals.stores, 2u * kCalls);
 }
 
 TEST(AllocGuardTest, RuntimeStatsAndMailboxLookupsDoNotAllocate) {
