@@ -1,8 +1,7 @@
-// Throughput benchmark for the serve subsystem: a preloaded registry
-// answering a mixed eval/invert/upgrade workload at 1-8 worker threads,
-// plus the sharded tier — aggregate QPS vs shard count at a fixed
-// per-shard cache budget, and batched-binary frame amortization over a
-// Unix socket. Prints scaling tables and writes BENCH_serve.json.
+// Throughput benchmark for the sharded serving tier: aggregate QPS vs
+// shard count at a fixed per-shard cache budget, batched-binary frame
+// amortization over a Unix socket, and an ingest-while-querying latency
+// smoke. Prints the tables and writes BENCH_serve.json.
 //
 //   bench_serve_throughput [--trace FILE] [--out FILE] [--smoke]
 //
@@ -20,7 +19,6 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -33,8 +31,7 @@
 #include "obs/trace.hpp"
 #include "online/service.hpp"
 #include "serve/frontend.hpp"
-#include "serve/registry.hpp"
-#include "serve/server.hpp"
+#include "serve/protocol.hpp"
 #include "serve/sharded_server.hpp"
 #include "support/format.hpp"
 #include "support/table.hpp"
@@ -79,15 +76,6 @@ std::vector<std::string> make_workload(const std::string& app,
   return lines;
 }
 
-struct RunResult {
-  std::size_t workers;
-  double seconds;
-  double requests_per_second;
-  double cache_hit_rate;
-  double p50_latency_us;
-  double p99_latency_us;
-};
-
 /// Ingest-while-querying smoke: how much does a concurrent ingest stream —
 /// including the refits it triggers on the online worker — degrade query
 /// latency? One batch carries five distinct (p, n) rows synthesized from
@@ -118,59 +106,90 @@ std::string make_ingest_batch(const codesign::AppRequirements& app) {
   return line;
 }
 
-IngestSmoke run_ingest_smoke(const codesign::AppRequirements& app,
-                             const std::vector<std::string>& workload,
-                             double baseline_p50_us) {
-  serve::ModelRegistry registry;
-  registry.insert(app);
+struct QueryRun {
+  double p50_us = 0.0;
+  std::uint64_t batches = 0;
+  std::uint64_t refits = 0;
+};
+
+/// One pass of `workload` from four client threads through a fresh
+/// one-shard server (a single app lives on one shard whatever the count)
+/// with an online service on that shard. With `ingest`, a fifth thread
+/// streams ingest batches until the queries are answered; the server
+/// config and the query stream are the same either way.
+QueryRun run_queries(const codesign::AppRequirements& app,
+                     const std::vector<serve::Request>& workload,
+                     bool ingest) {
+  serve::ShardedServerOptions server_options;
+  server_options.shards = 1;
+  server_options.queue_capacity = workload.size();
+  server_options.cache_capacity = 4096;
+  serve::ShardedServer server(server_options);
+  server.insert(app);
 
   online::OnlineServiceOptions online_options;
   online_options.policy.refit_rows = 5;  // every batch triggers a refit
   online_options.refit.generator.space = model::SearchSpace::coarse();
   online_options.refit.generator.top_factors_per_parameter = 2;
-  online::OnlineService service(registry, online_options);
+  online::OnlineService service(server.registry(0), online_options);
+  server.set_online_hooks(0, service.hooks());
 
-  serve::ServerOptions server_options;
-  server_options.workers = 4;
-  server_options.queue_capacity = workload.size();
-  server_options.cache_capacity = 4096;
-  server_options.online = service.hooks();
-  serve::Server server(registry, server_options);
-
-  // The ingester streams batches on its own thread (server.handle, so the
-  // query latency histogram stays dominated by queries) until the query
-  // workload has drained.
   std::atomic<bool> querying{true};
   std::uint64_t batches = 0;
-  std::thread ingester([&] {
-    const std::string batch = make_ingest_batch(app);
-    while (querying.load(std::memory_order_acquire)) {
-      (void)server.handle(batch);
-      ++batches;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-
-  std::vector<std::future<std::string>> responses;
-  responses.reserve(workload.size());
-  for (const std::string& line : workload) {
-    responses.push_back(server.submit(line));
+  std::thread ingester;
+  if (ingest) {
+    ingester = std::thread([&] {
+      const std::string batch = make_ingest_batch(app);
+      while (querying.load(std::memory_order_acquire)) {
+        (void)server.handle_line(batch);
+        ++batches;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
   }
-  for (auto& response : responses) (void)response.get();
+
+  constexpr std::size_t kClients = 4;
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t i = c; i < workload.size(); i += kClients) {
+        (void)server.handle(workload[i]);
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
   querying.store(false, std::memory_order_release);
-  ingester.join();
+  if (ingester.joinable()) ingester.join();
   service.drain();
 
+  QueryRun run;
+  run.p50_us = server.metrics().p50_latency_us;
+  run.batches = batches;
+  run.refits = service.stats().refits;
+  // The shard calls into the service's hooks, so it stops first.
+  server.stop();
+  return run;
+}
+
+IngestSmoke run_ingest_smoke(const codesign::AppRequirements& app,
+                             const std::vector<std::string>& lines) {
+  std::vector<serve::Request> workload;
+  workload.reserve(lines.size());
+  for (const std::string& line : lines) {
+    workload.push_back(serve::parse_request(line));
+  }
+  const QueryRun baseline = run_queries(app, workload, false);
+  const QueryRun with_ingest = run_queries(app, workload, true);
+
   IngestSmoke smoke;
-  smoke.baseline_p50_us = baseline_p50_us;
-  smoke.ingest_p50_us = server.metrics().p50_latency_us;
-  smoke.impact_pct = baseline_p50_us > 0.0
-                         ? 100.0 * (smoke.ingest_p50_us - baseline_p50_us) /
-                               baseline_p50_us
+  smoke.baseline_p50_us = baseline.p50_us;
+  smoke.ingest_p50_us = with_ingest.p50_us;
+  smoke.impact_pct = baseline.p50_us > 0.0
+                         ? 100.0 * (with_ingest.p50_us - baseline.p50_us) /
+                               baseline.p50_us
                          : 0.0;
-  smoke.batches = batches;
-  smoke.refits = service.stats().refits;
-  service.stop();
+  smoke.batches = with_ingest.batches;
+  smoke.refits = with_ingest.refits;
   return smoke;
 }
 
@@ -370,40 +389,10 @@ std::vector<BatchingRun> run_batching_sweep(
   return results;
 }
 
-RunResult run_one(serve::ModelRegistry& registry,
-                  const std::vector<std::string>& workload,
-                  std::size_t workers) {
-  // A fresh server per worker count: cold cache, so hit rates compare.
-  serve::Server server(registry,
-                       {.workers = workers,
-                        .queue_capacity = workload.size(),
-                        .cache_capacity = 4096});
-  std::vector<std::future<std::string>> responses;
-  responses.reserve(workload.size());
-  const auto started = std::chrono::steady_clock::now();
-  for (const std::string& line : workload) {
-    responses.push_back(server.submit(line));
-  }
-  std::size_t errors = 0;
-  for (auto& response : responses) {
-    if (response.get().rfind("ok", 0) != 0) ++errors;
-  }
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - started;
-  if (errors > 0) {
-    std::cerr << "warning: " << errors << " error responses\n";
-  }
-  const serve::MetricsSnapshot snapshot = server.metrics();
-  return {workers, elapsed.count(),
-          static_cast<double>(workload.size()) / elapsed.count(),
-          snapshot.cache_hit_rate(), snapshot.p50_latency_us,
-          snapshot.p99_latency_us};
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::print_banner("Serve throughput: workers, shards, and batching",
+  bench::print_banner("Serve throughput: shards, batching, and ingest",
                       "serving subsystem (beyond the paper)");
 
   std::optional<obs::TraceGuard> trace;
@@ -422,40 +411,13 @@ int main(int argc, char** argv) {
       make_shard_apps(app, 16);
 
   constexpr std::size_t kRequests = 20000;
-  std::vector<RunResult> results;
   IngestSmoke smoke;
   if (!smoke_mode) {
-    serve::ModelRegistry registry;
-    registry.insert(app);
-    const std::vector<std::string> workload =
-        make_workload(app.name, kRequests);
-    for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-      results.push_back(run_one(registry, workload, workers));
-    }
-
-    TextTable table({"Workers", "Req/s", "Speedup", "Hit rate", "p99 [us]"});
-    table.set_alignment({Align::kRight, Align::kRight, Align::kRight,
-                         Align::kRight, Align::kRight});
-    for (const RunResult& r : results) {
-      table.add_row({std::to_string(r.workers),
-                     format_compact(r.requests_per_second),
-                     format_fixed(r.requests_per_second /
-                                      results.front().requests_per_second,
-                                  2) +
-                         "x",
-                     format_fixed(100.0 * r.cache_hit_rate, 1) + " %",
-                     format_compact(r.p99_latency_us)});
-    }
-    std::cout << '\n' << table.render() << '\n';
-
     // A live ingest stream (one refit per 5-row batch) must not move the
-    // 4-worker query p50 by more than ~10%.
-    double baseline_p50_us = 0.0;
-    for (const RunResult& r : results) {
-      if (r.workers == 4) baseline_p50_us = r.p50_latency_us;
-    }
-    smoke = run_ingest_smoke(app, workload, baseline_p50_us);
-    std::cout << "\ningest-while-querying smoke (4 workers): baseline p50 "
+    // query p50 by more than ~10%.
+    smoke = run_ingest_smoke(app, make_workload(app.name, kRequests));
+    std::cout << "\ningest-while-querying smoke (1 shard, 4 clients): "
+                 "baseline p50 "
               << format_compact(smoke.baseline_p50_us) << " us, with ingest "
               << format_compact(smoke.ingest_p50_us) << " us ("
               << format_fixed(smoke.impact_pct, 1) << " % impact, "
@@ -525,20 +487,9 @@ int main(int argc, char** argv) {
   json << "{\n  \"benchmark\": \"serve_throughput\",\n"
        << "  \"app\": \"" << app.name << "\",\n"
        << "  \"smoke\": " << (smoke_mode ? "true" : "false") << ",\n"
-       << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
-       << ",\n"
-       << "  \"requests\": " << (smoke_mode ? 0 : kRequests)
-       << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    json << "    {\"workers\": " << r.workers << ", \"seconds\": " << r.seconds
-         << ", \"requests_per_second\": " << r.requests_per_second
-         << ", \"cache_hit_rate\": " << r.cache_hit_rate
-         << ", \"p50_latency_us\": " << r.p50_latency_us
-         << ", \"p99_latency_us\": " << r.p99_latency_us << '}'
-         << (i + 1 < results.size() ? "," : "") << '\n';
-  }
-  json << "  ],\n  \"sharded_scaling\": [\n";
+       << "  \"hardware_concurrency\": "
+       << std::thread::hardware_concurrency() << ",\n"
+       << "  \"sharded_scaling\": [\n";
   for (std::size_t i = 0; i < sharded.size(); ++i) {
     const ShardedRun& r = sharded[i];
     json << "    {\"shards\": " << r.shards << ", \"seconds\": " << r.seconds
@@ -559,7 +510,8 @@ int main(int argc, char** argv) {
   }
   json << "  ]";
   if (!smoke_mode) {
-    json << ",\n  \"ingest_smoke\": {\"baseline_p50_us\": "
+    json << ",\n  \"ingest_smoke\": {\"requests\": " << kRequests
+         << ", \"baseline_p50_us\": "
          << smoke.baseline_p50_us << ", \"ingest_p50_us\": "
          << smoke.ingest_p50_us << ", \"impact_pct\": " << smoke.impact_pct
          << ", \"batches\": " << smoke.batches << ", \"refits\": "

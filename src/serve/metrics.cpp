@@ -81,4 +81,33 @@ std::string status_line(const MetricsSnapshot& snapshot) {
   return os.str();
 }
 
+std::string online_status_fields(const online::OnlineStats& stats) {
+  std::ostringstream os;
+  os << "online_rows=" << stats.rows_ingested
+     << " online_pending=" << stats.rows_pending
+     << " online_refits=" << stats.refits
+     << " online_refit_failures=" << stats.refit_failures
+     << " online_rollbacks=" << stats.rollbacks
+     << " online_staleness_s=" << format_fixed(stats.staleness_seconds, 3)
+     << " online_version=" << stats.last_version;
+  return os.str();
+}
+
+std::string render_online_section(const online::OnlineStats& stats) {
+  TextTable table({"Layer", "Counter", "Value"});
+  table.set_alignment({Align::kLeft, Align::kLeft, Align::kRight});
+  const auto count = [](std::uint64_t value) { return format_count(value); };
+  table.add_row({"online", "batches accepted", count(stats.batches_accepted)});
+  table.add_row({"online", "batches rejected", count(stats.batches_rejected)});
+  table.add_row({"online", "rows ingested", count(stats.rows_ingested)});
+  table.add_row({"online", "rows pending", count(stats.rows_pending)});
+  table.add_row({"online", "refits", count(stats.refits)});
+  table.add_row({"online", "refit failures", count(stats.refit_failures)});
+  table.add_row({"online", "rollbacks", count(stats.rollbacks)});
+  table.add_row({"online", "staleness [s]",
+                 format_fixed(stats.staleness_seconds, 3)});
+  table.add_row({"online", "last version", count(stats.last_version)});
+  return table.render();
+}
+
 }  // namespace exareq::serve

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "online/stats.hpp"
 
 namespace exareq::serve {
 
@@ -52,7 +53,7 @@ struct MetricsSnapshot {
 };
 
 /// Thread-safe counters of the request layer; the cache and registry keep
-/// their own and everything is merged by Server::metrics().
+/// their own and everything is merged by ShardedServer::metrics().
 class Metrics {
  public:
   std::atomic<std::uint64_t> requests{0};
@@ -71,5 +72,11 @@ std::string render_status_report(const MetricsSnapshot& snapshot);
 
 /// One-line `key=value` form, the payload of a `status` protocol request.
 std::string status_line(const MetricsSnapshot& snapshot);
+
+/// The `online_*` `key=value` fields appended to the status line.
+std::string online_status_fields(const online::OnlineStats& stats);
+
+/// The online section of the `--status` report.
+std::string render_online_section(const online::OnlineStats& stats);
 
 }  // namespace exareq::serve

@@ -81,7 +81,7 @@ void ModelRegistry::end_fit(const std::string& app, bool completed) {
   fit_done_.notify_all();
 }
 
-std::string ModelRegistry::load_file(const std::string& path) {
+codesign::AppRequirements read_model_file(const std::string& path) {
   std::ifstream file(path);
   exareq::require(file.good(), [&] {
     return "cannot open model file '" + path + "'";
@@ -129,10 +129,19 @@ std::string ModelRegistry::load_file(const std::string& path) {
                "' must contain footprint, flops, comm_bytes, loads_stores "
                "and stack_distance models";
       });
-  publish(std::move(requirements), online::VersionSource::kFile);
+  return requirements;
+}
+
+std::string ModelRegistry::load_file(const std::string& path) {
+  return load_bundle(read_model_file(path));
+}
+
+std::string ModelRegistry::load_bundle(codesign::AppRequirements models) {
+  std::string name = models.name;
+  publish(std::move(models), online::VersionSource::kFile);
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.files_loaded;
-  return bundle.name;
+  return name;
 }
 
 std::shared_ptr<const codesign::AppRequirements> ModelRegistry::find(

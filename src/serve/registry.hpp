@@ -62,6 +62,11 @@ struct ModelInfo {
   double age_seconds = 0.0;              ///< since this version was published
 };
 
+/// Reads one serialized bundle file (required labels footprint/flops/
+/// comm_bytes/loads_stores/stack_distance, optional io_bytes/energy_proxy).
+/// Throws InvalidArgument on unreadable or malformed files.
+codesign::AppRequirements read_model_file(const std::string& path);
+
 class ModelRegistry {
  public:
   /// Produces requirement models for an application name; may take seconds
@@ -78,11 +83,13 @@ class ModelRegistry {
   /// Stores (or replaces) a validated bundle under its name.
   void insert(codesign::AppRequirements models);
 
-  /// Loads one serialized bundle file (required labels footprint/flops/
-  /// comm_bytes/loads_stores/stack_distance, optional io_bytes/
-  /// energy_proxy); returns the application name. Throws
-  /// InvalidArgument on unreadable or malformed files.
+  /// Loads one serialized bundle file (read_model_file + load_bundle);
+  /// returns the application name.
   std::string load_file(const std::string& path);
+
+  /// Publishes a bundle read from a model file (source kFile) and counts
+  /// the file as loaded; returns the application name.
+  std::string load_bundle(codesign::AppRequirements models);
 
   /// Returns the application's models, fitting on demand on a miss. Throws
   /// when the app is unknown and no fitter is configured, or the fit fails

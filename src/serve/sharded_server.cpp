@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -17,6 +18,27 @@ std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Adds one shard's cache and registry counters into `snapshot`.
+void add_store_stats(const ShardedLruCache& cache,
+                     const ModelRegistry& registry, MetricsSnapshot& snapshot) {
+  const CacheStats cached = cache.stats();
+  snapshot.cache_hits += cached.hits;
+  snapshot.cache_misses += cached.misses;
+  snapshot.cache_evictions += cached.evictions;
+  snapshot.cache_entries += cached.entries;
+  const RegistryStats stored = registry.stats();
+  snapshot.registry_lookups += stored.lookups;
+  snapshot.registry_hits += stored.hits;
+  snapshot.fits_started += stored.fits_started;
+  snapshot.fits_completed += stored.fits_completed;
+  snapshot.fit_failures += stored.fit_failures;
+  snapshot.singleflight_waits += stored.singleflight_waits;
+  snapshot.in_flight_fits += stored.in_flight_fits;
+  snapshot.files_loaded += stored.files_loaded;
+  snapshot.apps_loaded += stored.apps;
+  snapshot.hot_swaps += stored.hot_swaps;
 }
 
 }  // namespace
@@ -84,18 +106,9 @@ void ShardedServer::insert(codesign::AppRequirements models) {
 }
 
 std::string ShardedServer::load_file(const std::string& path) {
-  // Load into a scratch registry first to learn the application name, then
-  // route the validated bundle to its owning shard. Bundle files are a
-  // startup-time path, so the extra parse-copy is irrelevant.
-  ModelRegistry scratch;
-  const std::string name = scratch.load_file(path);
-  const auto models = scratch.find(name);
-  exareq::require(models != nullptr, [&] {
-    return "model file '" + path + "' loaded no usable bundle";
-  });
-  registry(shard_of(name))
-      .publish(*models, online::VersionSource::kFile);
-  return name;
+  codesign::AppRequirements models = read_model_file(path);
+  const std::size_t owner = shard_of(models.name);
+  return registry(owner).load_bundle(std::move(models));
 }
 
 std::vector<std::string> ShardedServer::submit_batch(
@@ -269,12 +282,20 @@ std::string ShardedServer::process_one(Shard& shard,
 std::string ShardedServer::front_status_line() {
   std::string line = status_line(metrics());
   line += " shards=" + std::to_string(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!shards_[i]->online.status_fields) continue;
-    const std::string extra = shards_[i]->online.status_fields();
-    if (!extra.empty()) line += " " + extra;
+  if (const auto online = online_stats()) {
+    line += " " + online_status_fields(*online);
   }
   return line;
+}
+
+std::optional<online::OnlineStats> ShardedServer::online_stats() const {
+  std::optional<online::OnlineStats> total;
+  for (const auto& shard : shards_) {
+    if (!shard->online.stats) continue;
+    if (!total) total.emplace();
+    total->merge_from(shard->online.stats());
+  }
+  return total;
 }
 
 MetricsSnapshot ShardedServer::metrics() const {
@@ -290,23 +311,7 @@ MetricsSnapshot ShardedServer::metrics() const {
     total.sheds += s.sheds;
     total.deadline_drops += s.deadline_drops;
     merged.merge_from(shard->metrics.latency);
-
-    const CacheStats cache = shard->cache->stats();
-    total.cache_hits += cache.hits;
-    total.cache_misses += cache.misses;
-    total.cache_evictions += cache.evictions;
-    total.cache_entries += cache.entries;
-    const RegistryStats registry = shard->registry->stats();
-    total.registry_lookups += registry.lookups;
-    total.registry_hits += registry.hits;
-    total.fits_started += registry.fits_started;
-    total.fits_completed += registry.fits_completed;
-    total.fit_failures += registry.fit_failures;
-    total.singleflight_waits += registry.singleflight_waits;
-    total.in_flight_fits += registry.in_flight_fits;
-    total.files_loaded += registry.files_loaded;
-    total.apps_loaded += registry.apps;
-    total.hot_swaps += registry.hot_swaps;
+    add_store_stats(*shard->cache, *shard->registry, total);
   }
   merged.merge_from(front_metrics_.latency);
   total.p50_latency_us = merged.quantile_us(0.50);
@@ -325,22 +330,7 @@ std::vector<ShardStatus> ShardedServer::shard_statuses() const {
     status.apps = shard.registry->app_names();
     status.queue_depth = shard.queue.size();
     shard.metrics.merge_into(status.metrics);
-    const CacheStats cache = shard.cache->stats();
-    status.metrics.cache_hits = cache.hits;
-    status.metrics.cache_misses = cache.misses;
-    status.metrics.cache_evictions = cache.evictions;
-    status.metrics.cache_entries = cache.entries;
-    const RegistryStats registry = shard.registry->stats();
-    status.metrics.registry_lookups = registry.lookups;
-    status.metrics.registry_hits = registry.hits;
-    status.metrics.fits_started = registry.fits_started;
-    status.metrics.fits_completed = registry.fits_completed;
-    status.metrics.fit_failures = registry.fit_failures;
-    status.metrics.singleflight_waits = registry.singleflight_waits;
-    status.metrics.in_flight_fits = registry.in_flight_fits;
-    status.metrics.files_loaded = registry.files_loaded;
-    status.metrics.apps_loaded = registry.apps;
-    status.metrics.hot_swaps = registry.hot_swaps;
+    add_store_stats(*shard.cache, *shard.registry, status.metrics);
     statuses.push_back(std::move(status));
   }
   return statuses;
@@ -365,19 +355,28 @@ std::string ShardedServer::status_report() const {
   }
   report += "\n" + table.render();
 
+  TextTable models({"Model", "Shard", "Version", "Source", "Rows",
+                    "MeanRelErr", "Age [s]"});
+  models.set_alignment({Align::kLeft, Align::kRight, Align::kRight,
+                        Align::kLeft, Align::kRight, Align::kRight,
+                        Align::kRight});
+  bool any_model = false;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::vector<ModelInfo> infos = shards_[i]->registry->model_infos();
-    if (infos.empty()) continue;
-    report += "\nshard " + std::to_string(i) + " models: ";
-    for (std::size_t j = 0; j < infos.size(); ++j) {
-      if (j > 0) report += ", ";
-      report += infos[j].name + " v" + std::to_string(infos[j].version);
+    for (const ModelInfo& info : shards_[i]->registry->model_infos()) {
+      any_model = true;
+      models.add_row({info.name, std::to_string(i),
+                      std::to_string(info.version),
+                      online::version_source_name(info.source),
+                      std::to_string(info.rows),
+                      std::isnan(info.mean_abs_relative_error)
+                          ? std::string("-")
+                          : format_compact(info.mean_abs_relative_error),
+                      format_fixed(info.age_seconds, 1)});
     }
   }
-  for (const auto& shard : shards_) {
-    if (!shard->online.status_section) continue;
-    const std::string section = shard->online.status_section();
-    if (!section.empty()) report += "\n" + section;
+  if (any_model) report += "\n" + models.render();
+  if (const auto online = online_stats()) {
+    report += "\n" + render_online_section(*online);
   }
   return report;
 }

@@ -21,9 +21,10 @@
 // execute on their shards in parallel, and responses scatter back into
 // request order. A single request is a batch of one. Backpressure is
 // shed-per-bucket at admission (a bucket aimed at a shard whose queue
-// already holds queue_capacity batches is shed), and the deadline is
-// checked when a shard picks a batch up, mirroring the legacy Server's
-// semantics.
+// already holds queue_capacity batches is shed at once with
+// `error shed: ...`, never blocking the caller), and the deadline is
+// checked when a shard picks a batch up (an expired batch answers
+// `error deadline: ...` without executing).
 #pragma once
 
 #include <atomic>
@@ -33,6 +34,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -42,10 +44,10 @@
 #include "serve/binary_protocol.hpp"
 #include "serve/cache.hpp"
 #include "serve/metrics.hpp"
+#include "serve/online_hooks.hpp"
 #include "serve/protocol.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/registry.hpp"
-#include "serve/server.hpp"
 #include "support/mpsc_queue.hpp"
 
 namespace exareq::serve {
@@ -62,6 +64,9 @@ struct ShardedServerOptions {
   std::size_t cache_capacity = 1024;
   std::size_t cache_shards = 4;
 };
+
+/// Alias for callers that name the serving options `ServerOptions`.
+using ServerOptions = ShardedServerOptions;
 
 /// One row of the per-shard `--status` table.
 struct ShardStatus {
@@ -97,15 +102,15 @@ class ShardedServer {
   /// The shard's registry, e.g. for wiring a per-shard OnlineService.
   ModelRegistry& registry(std::size_t shard);
 
-  /// Installs the online ingest/status hooks for one shard. Call before
+  /// Installs the online ingest/stats hooks for one shard. Call before
   /// traffic reaches the shard; the hook owner must outlive the server.
   void set_online_hooks(std::size_t shard, OnlineHooks hooks);
 
   /// Routes a preloaded bundle to its owning shard's registry.
   void insert(codesign::AppRequirements models);
 
-  /// Loads a serialized bundle file into the owning shard; returns the
-  /// application name (parses first, then routes by the bundle's name).
+  /// Loads a serialized bundle file into the owning shard's registry
+  /// (which counts it in files_loaded); returns the application name.
   std::string load_file(const std::string& path);
 
   /// Answers a batch: bucket by shard, dispatch the buckets in parallel,
@@ -127,7 +132,9 @@ class ShardedServer {
   std::vector<ShardStatus> shard_statuses() const;
 
   /// Aggregate status report plus the per-shard table (models owned,
-  /// cache hits, queue depth, p50) and any per-shard online sections.
+  /// cache hits, queue depth, p50), the per-model table (owning shard,
+  /// version, source, rows, fit error, age) and one online section summed
+  /// over the shards' online hooks.
   std::string status_report() const;
 
   /// Stops accepting work, waits for in-flight batches, closes every
@@ -158,6 +165,9 @@ class ShardedServer {
   void shard_loop(std::size_t shard_index);
   std::string process_one(Shard& shard, const binary::RequestView& view);
   std::string front_status_line();
+  /// Online stats summed over every shard with a stats hook; nullopt when
+  /// no shard has one.
+  std::optional<online::OnlineStats> online_stats() const;
   void publish_metrics();
 
   ShardedServerOptions options_;

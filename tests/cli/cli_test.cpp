@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <vector>
 
@@ -355,8 +356,26 @@ TEST(CliTest, ServeAnswersRequestsFileAsOneShardedBatch) {
   EXPECT_EQ(lines[2].rfind("error bad-request", 0), 0u) << lines[2];
   EXPECT_EQ(lines[3].rfind("ok invert ", 0), 0u) << lines[3];
   EXPECT_NE(lines[4].find("shards=3"), std::string::npos) << lines[4];
-  // --status appends the per-shard table after the responses.
+  // Each shard has an online service; their fields appear once, summed.
+  const std::size_t online = lines[4].find("online_rows=");
+  ASSERT_NE(online, std::string::npos) << lines[4];
+  EXPECT_EQ(lines[4].find("online_rows=", online + 1), std::string::npos)
+      << lines[4];
+  // --status appends the per-shard table, the per-model provenance table
+  // and one online section after the responses; each bundle file load is
+  // counted on its owning shard.
   EXPECT_NE(result.out.find("Shard"), std::string::npos);
+  EXPECT_NE(result.out.find("Age [s]"), std::string::npos) << result.out;
+  EXPECT_TRUE(std::regex_search(
+      result.out, std::regex(R"(\| lulesh +\| +\d+ \| +1 \| file +\|)")))
+      << result.out;
+  EXPECT_TRUE(std::regex_search(result.out,
+                                std::regex(R"(files loaded +\| +2 \|)")))
+      << result.out;
+  const std::size_t section = result.out.find("rows ingested");
+  ASSERT_NE(section, std::string::npos) << result.out;
+  EXPECT_EQ(result.out.find("rows ingested", section + 1), std::string::npos)
+      << result.out;
   EXPECT_NE(result.err.find("across 3 shards"), std::string::npos)
       << result.err;
   std::remove(lulesh.c_str());

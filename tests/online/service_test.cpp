@@ -16,7 +16,7 @@
 #include "online/ingest.hpp"
 #include "online/refitter.hpp"
 #include "serve/protocol.hpp"
-#include "serve/server.hpp"
+#include "serve/sharded_server.hpp"
 #include "support/error.hpp"
 
 namespace exareq::online {
@@ -102,18 +102,16 @@ TEST(OnlineRefitterTest, BusyGateRetryFitsTheKeptRows) {
 }
 
 TEST(OnlineServiceTest, IngestThroughServerRefitsAndHotSwaps) {
-  serve::ModelRegistry registry;
+  serve::ShardedServer server(serve::ShardedServerOptions{.shards = 2});
+  const std::size_t owner = server.shard_of("TestApp");
+  serve::ModelRegistry& registry = server.registry(owner);
   OnlineServiceOptions options;
   options.policy.refit_rows = 3;
   ScriptedFitter fitter;
   OnlineService service(registry, options, fitter.fn());
+  server.set_online_hooks(owner, service.hooks());
 
-  serve::ServerOptions server_options;
-  server_options.workers = 2;
-  server_options.online = service.hooks();
-  serve::Server server(registry, server_options);
-
-  const std::string response = server.handle(ingest_line("TestApp", 3));
+  const std::string response = server.handle_line(ingest_line("TestApp", 3));
   EXPECT_EQ(response.rfind("ok ingest accepted=3 pending=3", 0), 0u)
       << response;
   service.drain();
@@ -128,11 +126,11 @@ TEST(OnlineServiceTest, IngestThroughServerRefitsAndHotSwaps) {
   EXPECT_EQ(fitter.rows_seen[0], 3u);
 
   // The refitted model answers queries.
-  const std::string eval = server.handle("eval TestApp footprint 4 64");
+  const std::string eval = server.handle_line("eval TestApp footprint 4 64");
   EXPECT_EQ(eval.rfind("ok eval ", 0), 0u) << eval;
 
   // The status line carries the online fields.
-  const std::string status = server.handle("status");
+  const std::string status = server.handle_line("status");
   EXPECT_NE(status.find("online_rows=3"), std::string::npos) << status;
   EXPECT_NE(status.find("online_refits=1"), std::string::npos) << status;
   // The --status report gains the per-model version/age table and the
@@ -141,8 +139,48 @@ TEST(OnlineServiceTest, IngestThroughServerRefitsAndHotSwaps) {
   EXPECT_NE(report.find("online-refit"), std::string::npos) << report;
   EXPECT_NE(report.find("Age [s]"), std::string::npos) << report;
   EXPECT_NE(report.find("rows ingested"), std::string::npos) << report;
+  server.stop();  // the shard calls into the service's hooks
 }
 
+TEST(OnlineServiceTest, StatusSumsOnlineStatsAcrossShards) {
+  constexpr std::size_t kShards = 3;
+  serve::ShardedServer server(serve::ShardedServerOptions{.shards = kShards});
+  // One service per shard, as `exareq serve` wires them.
+  // Fitters outlive the services, whose shutdown drain still fits.
+  std::vector<std::unique_ptr<ScriptedFitter>> fitters;
+  std::vector<std::unique_ptr<OnlineService>> services;
+  OnlineServiceOptions options;
+  options.policy.refit_rows = 100;  // rows stay pending
+  for (std::size_t shard = 0; shard < kShards; ++shard) {
+    fitters.push_back(std::make_unique<ScriptedFitter>());
+    services.push_back(std::make_unique<OnlineService>(
+        server.registry(shard), options, fitters.back()->fn()));
+    server.set_online_hooks(shard, services.back()->hooks());
+  }
+  // Two apps that live on different shards.
+  const std::string first = "app0";
+  std::string second;
+  for (int i = 1; second.empty(); ++i) {
+    const std::string candidate = "app" + std::to_string(i);
+    if (server.shard_of(candidate) != server.shard_of(first)) second = candidate;
+  }
+  EXPECT_EQ(server.handle_line(ingest_line(first, 2)).rfind("ok ingest", 0), 0u);
+  EXPECT_EQ(server.handle_line(ingest_line(second, 3)).rfind("ok ingest", 0), 0u);
+
+  const std::string status = server.handle_line("status");
+  const std::size_t at = status.find("online_rows=");
+  ASSERT_NE(at, std::string::npos) << status;
+  EXPECT_EQ(status.find("online_rows=", at + 1), std::string::npos) << status;
+  EXPECT_NE(status.find(" online_rows=5 online_pending=5 "), std::string::npos)
+      << status;
+
+  const std::string report = server.status_report();
+  const std::size_t section = report.find("rows ingested");
+  ASSERT_NE(section, std::string::npos) << report;
+  EXPECT_EQ(report.find("rows ingested", section + 1), std::string::npos)
+      << report;
+  server.stop();
+}
 TEST(OnlineServiceTest, BelowThresholdRowsStayPendingUntilDrain) {
   serve::ModelRegistry registry;
   OnlineServiceOptions options;
@@ -289,12 +327,9 @@ TEST(OnlineServiceTest, FitFailureKeepsServingThePreviousVersion) {
 }
 
 TEST(OnlineServiceTest, IngestWithoutHooksIsRejectedByServer) {
-  serve::ModelRegistry registry;
-  registry.insert(serve::testing::make_test_requirements("app"));
-  serve::ServerOptions options;
-  options.workers = 1;
-  serve::Server server(registry, options);
-  const std::string response = server.handle(ingest_line("app", 1));
+  serve::ShardedServer server(serve::ShardedServerOptions{.shards = 1});
+  server.insert(serve::testing::make_test_requirements("app"));
+  const std::string response = server.handle_line(ingest_line("app", 1));
   EXPECT_EQ(response.rfind("error bad-request:", 0), 0u) << response;
   EXPECT_NE(response.find("not enabled"), std::string::npos) << response;
 }

@@ -4,15 +4,16 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/binary_protocol.hpp"
 #include "serve/protocol.hpp"
-#include "serve/server.hpp"
+#include "serve/query_engine.hpp"
+#include "serve/registry.hpp"
 #include "serve/sharded_server.hpp"
-#include "serve/socket_server.hpp"
 #include "serve_test_util.hpp"
 #include "support/error.hpp"
 
@@ -58,8 +59,8 @@ TEST(ShardedFrontEndTest, TextClientsWorkOverUnixSocket) {
   FrontEnd front(server, FrontEndOptions{
                              .unix_path = unique_socket_path("text")});
   front.start();
-  // The legacy one-shot text client must work unchanged against the
-  // binary-capable front end (satellite: mixed-client compatibility).
+  // The one-shot text client works unchanged against the binary-capable
+  // front end.
   EXPECT_EQ(exareq::serve::query_over_socket(front.options().unix_path,
                                              "eval lulesh flops 64 100"),
             server.handle_line("eval lulesh flops 64 100"));
@@ -252,25 +253,6 @@ TEST(ShardedFrontEndTest, OversizedBinaryFrameRecoversPerConnection) {
   EXPECT_EQ(small[0].rfind("ok eval ", 0), 0u);
 }
 
-TEST(ShardedFrontEndTest, LegacySocketServerHonorsMaxFrameOption) {
-  // Satellite: the legacy text front end's limit is configurable too.
-  exareq::serve::ModelRegistry registry;
-  registry.insert(make_test_requirements("alpha"));
-  exareq::serve::Server server(registry, {.workers = 1});
-  exareq::serve::SocketServer socket_server(
-      server, unique_socket_path("legacymax"), 64);
-  EXPECT_EQ(socket_server.max_frame_bytes(), 64u);
-  socket_server.start();
-  const std::string oversized = "eval alpha flops 64 " + std::string(200, '1');
-  EXPECT_EQ(exareq::serve::query_over_socket(socket_server.path(), oversized)
-                .rfind("error bad-request", 0),
-            0u);
-  EXPECT_EQ(exareq::serve::query_over_socket(socket_server.path(),
-                                             "eval alpha flops 64 1024")
-                .rfind("ok eval ", 0),
-            0u);
-}
-
 TEST(ShardedFrontEndTest, StatusOverTextAndBinaryAgreeOnShardCount) {
   ShardedServer server(ShardedServerOptions{.shards = 3});
   load_apps(server);
@@ -286,4 +268,68 @@ TEST(ShardedFrontEndTest, StatusOverTextAndBinaryAgreeOnShardCount) {
       front.options().unix_path, {status});
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_NE(lines[0].find("shards=3"), std::string::npos);
+}
+
+TEST(ServeSocketTest, RoundTripsRequestsOverUnixSocket) {
+  ShardedServer server(ShardedServerOptions{.shards = 2});
+  server.insert(make_test_requirements("alpha"));
+  FrontEnd front(server, FrontEndOptions{
+                             .unix_path = unique_socket_path("roundtrip")});
+  front.start();
+
+  const exareq::codesign::AppRequirements direct =
+      make_test_requirements("alpha");
+  EXPECT_EQ(exareq::serve::query_over_socket(front.options().unix_path,
+                                             "eval alpha flops 64 1024"),
+            "ok eval " + exareq::serve::render_value(
+                             direct.flops.evaluate2(64.0, 1024.0)));
+  EXPECT_EQ(exareq::serve::query_over_socket(front.options().unix_path,
+                                             "garbage")
+                .rfind("error bad-request", 0),
+            0u);
+  front.stop();
+  // The listener is gone: connecting throws instead of hanging.
+  EXPECT_THROW(
+      exareq::serve::query_over_socket(front.options().unix_path, "status"),
+      exareq::Error);
+}
+
+TEST(ServeSocketTest, ServesManyConcurrentClients) {
+  ShardedServer server(ShardedServerOptions{.shards = 4,
+                                            .queue_capacity = 1024});
+  load_apps(server);
+  FrontEnd front(server, FrontEndOptions{
+                             .unix_path = unique_socket_path("concurrent")});
+  front.start();
+
+  exareq::serve::ModelRegistry reference_registry;
+  for (const char* app : {"lulesh", "hpcg"}) {
+    reference_registry.insert(make_test_requirements(app));
+  }
+  exareq::serve::QueryEngine reference(reference_registry);
+  constexpr int kClients = 8;
+  constexpr int kRequestsPerClient = 16;
+  std::vector<std::future<int>> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(std::async(std::launch::async, [&, c] {
+      int mismatches = 0;
+      for (int i = 0; i < kRequestsPerClient; ++i) {
+        const std::string line =
+            "eval " + std::string(c % 2 ? "lulesh" : "hpcg") + " flops " +
+            std::to_string(4 << (c % 3)) + ' ' + std::to_string(32 + i);
+        if (exareq::serve::query_over_socket(front.options().unix_path,
+                                             line) !=
+            reference.answer_line(line)) {
+          ++mismatches;
+        }
+      }
+      return mismatches;
+    }));
+  }
+  for (auto& client : clients) {
+    EXPECT_EQ(client.get(), 0);
+  }
+  EXPECT_EQ(server.metrics().responses_ok,
+            static_cast<std::uint64_t>(kClients) * kRequestsPerClient);
 }

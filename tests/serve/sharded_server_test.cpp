@@ -2,18 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <future>
+#include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli/cli.hpp"
+#include "codesign/requirements.hpp"
+#include "model/serialize.hpp"
+#include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/registry.hpp"
 #include "serve_test_util.hpp"
 #include "support/error.hpp"
 
+using exareq::serve::MetricsSnapshot;
 using exareq::serve::ModelRegistry;
 using exareq::serve::Request;
 using exareq::serve::RequestKind;
@@ -47,6 +60,87 @@ Request eval_request(const std::string& app, double p, double n) {
   request.p = p;
   request.n = n;
   return request;
+}
+
+bool starts_with(const std::string& text, const std::string& prefix) {
+  return text.rfind(prefix, 0) == 0;
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+/// Writes `name`'s synthetic models as a bundle file; returns the path.
+std::string write_bundle_file(const std::string& name) {
+  const exareq::codesign::AppRequirements app = make_test_requirements(name);
+  exareq::model::ModelBundle bundle;
+  bundle.name = name;
+  bundle.models = {{"footprint", app.footprint},
+                   {"flops", app.flops},
+                   {"comm_bytes", app.comm_bytes},
+                   {"loads_stores", app.loads_stores},
+                   {"stack_distance", app.stack_distance}};
+  const std::string path = "/tmp/exareq_shard_" + name + "_" +
+                           std::to_string(::getpid()) + ".models";
+  std::ofstream(path) << exareq::model::serialize_bundle(bundle);
+  return path;
+}
+
+/// Fit-on-demand registries whose fitter blocks until open(): a request
+/// for an app no shard has loaded parks its shard inside the fit, so
+/// whatever is submitted to that shard next stays queued.
+class GatedFit {
+ public:
+  ShardedServer::RegistryFactory factory() {
+    return [this] {
+      return std::make_unique<ModelRegistry>([this](const std::string& name) {
+        fitting_.store(true);
+        released_.wait();
+        return make_test_requirements(name);
+      });
+    };
+  }
+
+  /// Submits `eval gated ...` and returns once the fitter is running.
+  /// With a deadline the request can expire before its shard picks it up
+  /// (slow thread start, sanitizers); each such attempt is retried and
+  /// counted in `expired`.
+  std::future<std::string> park(ShardedServer& server, int& expired) {
+    for (;;) {
+      std::future<std::string> parked =
+          std::async(std::launch::async, [&server] {
+            return server.handle_line("eval gated flops 4 32");
+          });
+      while (!fitting_.load()) {
+        if (parked.wait_for(std::chrono::milliseconds(1)) ==
+            std::future_status::ready) {
+          break;
+        }
+      }
+      if (fitting_.load()) return parked;
+      EXPECT_TRUE(starts_with(parked.get(), "error deadline"));
+      ++expired;
+    }
+  }
+
+  void open() { gate_.set_value(); }
+
+ private:
+  std::atomic<bool> fitting_{false};
+  std::promise<void> gate_;
+  std::shared_future<void> released_ = gate_.get_future().share();
+};
+
+/// Polls until shard 0 holds `depth` queued batches.
+void wait_for_queue_depth(const ShardedServer& server, std::size_t depth) {
+  while (server.shard_statuses()[0].queue_depth != depth) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 }  // namespace
@@ -145,6 +239,43 @@ TEST(ShardedServerTest, StatusAnsweredAtFrontEndWithShardCount) {
   EXPECT_EQ(response.rfind("ok status ", 0), 0u);
   EXPECT_NE(response.find("shards=3"), std::string::npos);
   EXPECT_NE(response.find("requests="), std::string::npos);
+  EXPECT_EQ(response.find("online_"), std::string::npos) << response;
+}
+
+TEST(ShardedServerTest, StatusSumsOnlineStatsOverShardsOnce) {
+  ShardedServer server(options_with(3));
+  load_apps(server);
+  exareq::online::OnlineStats first;
+  first.rows_ingested = 2;
+  first.rows_pending = 1;
+  first.refits = 1;
+  first.staleness_seconds = 1.5;
+  first.last_version = 4;
+  exareq::online::OnlineStats second;
+  second.rows_ingested = 5;
+  second.rows_pending = 2;
+  second.refits = 2;
+  second.staleness_seconds = 0.25;
+  second.last_version = 7;
+  exareq::serve::OnlineHooks hooks;
+  hooks.stats = [first] { return first; };
+  server.set_online_hooks(0, hooks);
+  hooks.stats = [second] { return second; };
+  server.set_online_hooks(2, hooks);
+
+  const std::string status = server.handle_line("status");
+  EXPECT_EQ(count_of(status, "online_rows="), 1u) << status;
+  // Counts and pending rows add up; staleness and version take the max.
+  for (const char* field :
+       {" online_rows=7 ", " online_pending=3 ", " online_refits=3 ",
+        " online_staleness_s=1.500 "}) {
+    EXPECT_NE(status.find(field), std::string::npos) << field << status;
+  }
+  EXPECT_TRUE(status.ends_with(" online_version=7")) << status;
+
+  const std::string report = server.status_report();
+  EXPECT_EQ(count_of(report, "rows ingested"), 1u) << report;
+  EXPECT_EQ(count_of(report, "last version"), 1u) << report;
 }
 
 TEST(ShardedServerTest, StatusReportListsEveryShard) {
@@ -156,7 +287,30 @@ TEST(ShardedServerTest, StatusReportListsEveryShard) {
   EXPECT_NE(report.find("Shard"), std::string::npos);
   EXPECT_NE(report.find("Queue"), std::string::npos);
   EXPECT_NE(report.find("p50 [us]"), std::string::npos);
-  EXPECT_NE(report.find("lulesh v1"), std::string::npos);
+  // One per-model row for every loaded app, naming its owning shard.
+  for (const char* column : {"Model", "Version", "Source", "Rows",
+                             "MeanRelErr", "Age [s]"}) {
+    EXPECT_NE(report.find(column), std::string::npos) << column;
+  }
+  for (const std::string& app : kApps) {
+    std::istringstream lines(report);
+    std::string line;
+    std::size_t rows = 0;
+    while (std::getline(lines, line)) {
+      // A table row: | Model | Shard | Version | Source | ... |
+      std::istringstream fields(line);
+      std::string bar, name, shard, version, source;
+      fields >> bar >> name >> bar >> shard >> bar >> version >> bar >> source;
+      if (name != app) continue;
+      ++rows;
+      EXPECT_EQ(shard, std::to_string(server.shard_of(app))) << line;
+      EXPECT_EQ(version, "1") << line;
+      EXPECT_EQ(source, "insert") << line;
+    }
+    EXPECT_EQ(rows, 1u) << app << "\n" << report;
+  }
+  // No shard has online hooks, so there is no online section.
+  EXPECT_EQ(report.find("rows ingested"), std::string::npos);
 }
 
 TEST(ShardedServerTest, PerShardCachesCountHitsLocally) {
@@ -298,15 +452,311 @@ TEST(ShardedServerTest, StopDrainsThenRejectsNewWork) {
 }
 
 TEST(ShardedServerTest, LoadFileRoutesToOwningShard) {
-  ModelRegistry scratch;
-  scratch.insert(make_test_requirements("lulesh"));
-  // Round-trip through a bundle file via the registry's own serializer
-  // path is covered in registry tests; here route a prebuilt bundle.
+  const std::string path = write_bundle_file("lulesh");
   ShardedServer server(options_with(4));
-  server.insert(make_test_requirements("lulesh"));
+  EXPECT_EQ(server.load_file(path), "lulesh");
+  std::remove(path.c_str());
   const std::size_t owner = server.shard_of("lulesh");
   EXPECT_EQ(server.registry(owner).app_names(),
             std::vector<std::string>{"lulesh"});
+  // The load is counted once, on the shard that owns the app.
+  EXPECT_EQ(server.metrics().files_loaded, 1u);
+  for (const auto& status : server.shard_statuses()) {
+    EXPECT_EQ(status.metrics.files_loaded, status.shard == owner ? 1u : 0u)
+        << "shard " << status.shard;
+    EXPECT_EQ(status.metrics.apps_loaded, status.shard == owner ? 1u : 0u)
+        << "shard " << status.shard;
+  }
+  EXPECT_NE(server.status_report().find(" file "), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The serving contract: answers, caching, admission, deadlines, shutdown.
+
+TEST(ServeServerTest, AnswersAreBitIdenticalToDirectLibraryCalls) {
+  ShardedServer server(options_with(2));
+  server.insert(make_test_requirements("alpha"));
+  server.insert(make_test_requirements("beta"));
+
+  const exareq::codesign::AppRequirements direct =
+      make_test_requirements("alpha");
+  EXPECT_EQ(server.handle_line("eval alpha flops 64 1024"),
+            "ok eval " + exareq::serve::render_value(
+                             direct.flops.evaluate2(64.0, 1024.0)));
+  EXPECT_EQ(server.handle_line("eval alpha stack_distance 1 777"),
+            "ok eval " + exareq::serve::render_value(
+                             direct.stack_distance.evaluate1(777.0)));
+
+  const exareq::codesign::FilledSystem filled =
+      exareq::codesign::fill_memory(direct, {4096.0, 2.0e9});
+  EXPECT_EQ(server.handle_line("invert alpha 4096 2e9"),
+            "ok invert " +
+                exareq::serve::render_value(filled.problem_size_per_process) +
+                ' ' + exareq::serve::render_value(filled.overall_problem_size));
+}
+
+TEST(ServeServerTest, ConcurrentMixedWorkloadMatchesUncachedEngine) {
+  std::vector<std::string> lines;
+  for (const std::string& app : kApps) {
+    for (const char* metric :
+         {"footprint", "flops", "comm_bytes", "loads_stores"}) {
+      for (int p : {4, 16, 64}) {
+        lines.push_back("eval " + app + ' ' + metric + ' ' +
+                        std::to_string(p) + " 512");
+      }
+    }
+    lines.push_back("invert " + app + " 1024 1e9");
+    lines.push_back("upgrade " + app + " 1024 1e9");
+    lines.push_back("strawman " + app);
+  }
+  // Duplicates exercise the caches under concurrency.
+  const std::vector<std::string> first_round = lines;
+  lines.insert(lines.end(), first_round.begin(), first_round.end());
+
+  // Reference answers from one uncached engine, computed serially.
+  ModelRegistry reference_registry;
+  for (const std::string& app : kApps) {
+    reference_registry.insert(make_test_requirements(app));
+  }
+  exareq::serve::QueryEngine reference(reference_registry);
+  std::vector<std::string> expected;
+  expected.reserve(lines.size());
+  for (const std::string& line : lines) {
+    expected.push_back(reference.answer_line(line));
+  }
+
+  ShardedServerOptions options = options_with(4);
+  options.queue_capacity = lines.size();
+  ShardedServer server(options);
+  load_apps(server);
+  constexpr std::size_t kClients = 4;
+  std::vector<std::string> responses(lines.size());
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t i = c; i < lines.size(); i += kClients) {
+        responses[i] = server.handle_line(lines[i]);
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(responses[i], expected[i]) << lines[i];
+  }
+
+  const MetricsSnapshot snapshot = server.metrics();
+  EXPECT_EQ(snapshot.requests, lines.size());
+  EXPECT_EQ(snapshot.responses_ok, lines.size());
+  EXPECT_EQ(snapshot.responses_error, 0u);
+  EXPECT_EQ(snapshot.sheds, 0u);
+  // Every request consults its shard's cache exactly once.
+  EXPECT_EQ(snapshot.cache_hits + snapshot.cache_misses, lines.size());
+  EXPECT_GE(snapshot.cache_hits, 1u);
+}
+
+TEST(ServeServerTest, RepeatedQueryHitsCacheAndSkipsFitPath) {
+  std::atomic<int> fit_calls{0};
+  ShardedServer server(options_with(2), [&fit_calls] {
+    return std::make_unique<ModelRegistry>([&fit_calls](const std::string& name) {
+      fit_calls.fetch_add(1);
+      return make_test_requirements(name);
+    });
+  });
+
+  const std::string first = server.handle_line("eval ondemand flops 8 64");
+  ASSERT_TRUE(starts_with(first, "ok eval ")) << first;
+  EXPECT_EQ(fit_calls.load(), 1);
+  const MetricsSnapshot after_first = server.metrics();
+  EXPECT_EQ(after_first.cache_misses, 1u);
+  EXPECT_EQ(after_first.fits_started, 1u);
+  const std::uint64_t lookups_after_first = after_first.registry_lookups;
+
+  // Same query, different but canonically equal spelling.
+  const std::string second = server.handle_line("eval ONDEMAND flops 8.0 6.4e1");
+  EXPECT_EQ(second, first);
+  const MetricsSnapshot after_second = server.metrics();
+  EXPECT_EQ(after_second.cache_hits, 1u);
+  EXPECT_EQ(after_second.cache_misses, 1u);
+  EXPECT_EQ(after_second.fits_started, 1u);  // no second fit
+  EXPECT_EQ(fit_calls.load(), 1);            // fitter not re-entered
+  EXPECT_EQ(after_second.registry_lookups,   // registry not even consulted
+            lookups_after_first);
+  EXPECT_GT(after_second.cache_hit_rate(), 0.0);
+}
+
+TEST(ServeServerTest, FullQueueShedsWithExplicitError) {
+  GatedFit gated;
+  ShardedServerOptions options = options_with(1);
+  options.queue_capacity = 1;
+  ShardedServer server(options, gated.factory());
+  server.insert(make_test_requirements("alpha"));
+
+  int expired = 0;
+  std::future<std::string> slow = gated.park(server, expired);
+  // The shard is inside the fit; this request fills its one queue slot.
+  std::future<std::string> queued = std::async(std::launch::async, [&server] {
+    return server.handle_line("eval alpha flops 4 64");
+  });
+  wait_for_queue_depth(server, 1);
+
+  // The queue is full: the next request is answered at admission, while
+  // the shard is still blocked.
+  EXPECT_EQ(server.handle_line("eval alpha flops 4 128"),
+            "error shed: admission queue full (capacity 1)");
+  EXPECT_EQ(server.metrics().sheds, 1u);
+
+  gated.open();
+  EXPECT_TRUE(starts_with(slow.get(), "ok eval "));
+  EXPECT_TRUE(starts_with(queued.get(), "ok eval "));
+  const MetricsSnapshot snapshot = server.metrics();
+  EXPECT_EQ(expired, 0);
+  EXPECT_EQ(snapshot.requests, 3u);
+  EXPECT_EQ(snapshot.responses_ok, 2u);
+  EXPECT_EQ(snapshot.responses_error, 1u);
+}
+
+TEST(ServeServerTest, ExpiredDeadlineDropsQueuedRequest) {
+  GatedFit gated;
+  ShardedServerOptions options = options_with(1);
+  options.deadline = std::chrono::milliseconds(20);
+  ShardedServer server(options, gated.factory());
+  server.insert(make_test_requirements("alpha"));
+
+  int expired = 0;
+  std::future<std::string> slow = gated.park(server, expired);
+  std::future<std::string> stale = std::async(std::launch::async, [&server] {
+    return server.handle_line("eval alpha flops 4 32");
+  });
+  wait_for_queue_depth(server, 1);
+  // Enqueued before the depth became visible, so after this sleep it has
+  // waited past its deadline however soon the shard picks it up.
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  gated.open();
+
+  EXPECT_EQ(stale.get(),
+            "error deadline: request waited longer than 20 ms for a worker");
+  EXPECT_TRUE(starts_with(slow.get(), "ok eval "));
+  EXPECT_EQ(server.metrics().deadline_drops,
+            static_cast<std::uint64_t>(1 + expired));
+}
+
+TEST(ServeServerTest, MalformedLinesAreErrorsNotCrashes) {
+  ShardedServer server(options_with(2));
+  server.insert(make_test_requirements("alpha"));
+  EXPECT_TRUE(starts_with(server.handle_line("frobnicate"), "error bad-request"));
+  EXPECT_TRUE(starts_with(server.handle_line("eval alpha watts 4 32"),
+                          "error bad-request"));
+  // Unknown app, no fitter configured.
+  EXPECT_TRUE(starts_with(server.handle_line("eval nosuch flops 4 32"),
+                          "error bad-request"));
+  EXPECT_EQ(server.metrics().responses_error, 3u);
+}
+
+TEST(ServeServerTest, StatusRequestAndReportExposeCounters) {
+  ShardedServer server(options_with(2));
+  server.insert(make_test_requirements("alpha"));
+  server.insert(make_test_requirements("beta"));
+  EXPECT_TRUE(starts_with(server.handle_line("eval alpha flops 4 32"), "ok eval"));
+
+  const std::string status = server.handle_line("status");
+  EXPECT_TRUE(starts_with(status, "ok status ")) << status;
+  EXPECT_NE(status.find("requests="), std::string::npos);
+  EXPECT_NE(status.find("cache_misses=1"), std::string::npos) << status;
+  EXPECT_NE(status.find("apps=2"), std::string::npos) << status;
+  EXPECT_NE(status.find("mean_us="), std::string::npos) << status;
+
+  const std::string report = server.status_report();
+  for (const char* needle : {"requests", "cache", "registry", "p99 latency",
+                             "mean latency", "hit rate", "Age [s]"}) {
+    EXPECT_NE(report.find(needle), std::string::npos) << needle;
+  }
+  EXPECT_GT(server.metrics().mean_latency_us, 0.0);
+}
+
+TEST(ServeServerTest, StopDrainsAdmittedRequestsAndRejectsNewOnes) {
+  GatedFit gated;
+  ShardedServerOptions options = options_with(1);
+  options.queue_capacity = 16;
+  ShardedServer server(options, gated.factory());
+  server.insert(make_test_requirements("alpha"));
+
+  int expired = 0;
+  std::vector<std::future<std::string>> admitted;
+  admitted.push_back(gated.park(server, expired));
+  constexpr std::size_t kQueued = 8;
+  for (std::size_t i = 0; i < kQueued; ++i) {
+    admitted.push_back(std::async(std::launch::async, [&server, i] {
+      return server.handle_line("eval alpha flops 4 " + std::to_string(32 + i));
+    }));
+  }
+  wait_for_queue_depth(server, kQueued);
+
+  auto& registry_metrics = exareq::obs::MetricRegistry::instance();
+  const std::uint64_t published_before =
+      registry_metrics.counter("serve.shard.requests").value();
+  const std::uint64_t latencies_before =
+      registry_metrics.histogram("serve.shard.latency_us").count();
+  std::future<void> stopping =
+      std::async(std::launch::async, [&server] { server.stop(); });
+  // stop() waits for every admitted batch, and those wait on the fit.
+  EXPECT_EQ(stopping.wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout);
+  gated.open();
+  stopping.get();
+  for (auto& response : admitted) {
+    EXPECT_TRUE(starts_with(response.get(), "ok eval "));
+  }
+  EXPECT_EQ(server.handle_line("eval alpha flops 4 32"),
+            "error shutdown: server is no longer accepting requests");
+
+  // stop() publishes the totals into the process-global registry exactly
+  // once; a second stop() (and the destructor's) adds nothing.
+  EXPECT_EQ(registry_metrics.counter("serve.shard.requests").value(),
+            published_before + 1 + kQueued);
+  server.stop();
+  EXPECT_EQ(registry_metrics.counter("serve.shard.requests").value(),
+            published_before + 1 + kQueued);
+  EXPECT_EQ(registry_metrics.histogram("serve.shard.latency_us").count(),
+            latencies_before + 1 + kQueued);
+}
+
+// End-to-end: fit models through the one-shot CLI, persist them with
+// --models-out, load the bundle into a sharded server, and check that
+// served answers are bit-identical to evaluating the parsed models directly.
+TEST(ServeCliIntegrationTest, ServedAnswersMatchOneShotCliModels) {
+  const std::string path = "/tmp/exareq_serve_cli_models_" +
+                           std::to_string(::getpid()) + ".models";
+  std::ostringstream out, err;
+  const int code = exareq::cli::run_cli(
+      {"model", "LULESH", "--processes", "2,4,8,16,32", "--sizes",
+       "16,32,64,128,256", "--models-out", path},
+      out, err);
+  ASSERT_EQ(code, 0) << err.str();
+
+  std::ifstream file(path);
+  ASSERT_TRUE(file.good());
+  std::stringstream content;
+  content << file.rdbuf();
+  const exareq::model::ModelBundle bundle =
+      exareq::model::parse_bundle(content.str());
+
+  ShardedServer server(options_with(2));
+  EXPECT_EQ(server.load_file(path), bundle.name);
+  EXPECT_EQ(server.metrics().files_loaded, 1u);
+  for (const auto& [label, model] : bundle.models) {
+    for (const double p : {8.0, 1e6}) {
+      for (const double n : {128.0, 1e9}) {
+        const double direct = label == "stack_distance" ? model.evaluate1(n)
+                                                        : model.evaluate2(p, n);
+        EXPECT_EQ(server.handle_line("eval " + bundle.name + ' ' + label + ' ' +
+                                     exareq::serve::render_value(p) + ' ' +
+                                     exareq::serve::render_value(n)),
+                  "ok eval " + exareq::serve::render_value(direct))
+            << label;
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ShardedServerConcurrencyTest, ParallelClientsGetConsistentAnswers) {
