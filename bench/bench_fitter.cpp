@@ -2,8 +2,10 @@
 // applications, batched engine (one retained QR per hypothesis generation,
 // rank-one LOOCV downdates) vs the scalar per-fold refit loop it replaced.
 // Each campaign is measured once; model_requirements then runs cold in both
-// engine modes. Prints per-app tables and writes BENCH_fitter.json with
-// wall time, CV-solve and downdate counters, candidates/sec, the
+// engine modes. Prints per-app tables and writes BENCH_fitter.json with a
+// meta block (hardware concurrency, compiler, build type, fit threads,
+// repeat count), wall time (best of the repeats, plus their median and
+// quartiles), CV-solve and downdate counters, candidates/sec, the
 // batched-over-scalar speedup, and the solve-count reduction.
 //
 //   bench_fitter [--apps kripke,lulesh,...] [--processes L] [--sizes L]
@@ -27,12 +29,19 @@
 #include "pipeline/campaign.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
+#include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
 namespace {
 
 using namespace exareq;
+
+#ifdef __clang__
+constexpr const char* kCompiler = "clang " __clang_version__;
+#else
+constexpr const char* kCompiler = "g++ " __VERSION__;
+#endif
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -42,6 +51,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 struct ModeResult {
   double seconds = 0.0;  ///< best (min) over repeats — cold engines each run
+  double median_seconds = 0.0;
+  double q1_seconds = 0.0;
+  double q3_seconds = 0.0;
   model::EngineStats stats;
   double cv_sum = 0.0;  ///< sum of per-metric CV scores, for cross-checking
 };
@@ -61,6 +73,7 @@ double candidates_per_second(const ModeResult& mode) {
 ModeResult run_mode(const pipeline::CampaignData& data, bool batched_cv,
                     std::size_t threads, std::int64_t repeat) {
   ModeResult result;
+  std::vector<double> samples;
   for (std::int64_t r = 0; r < repeat; ++r) {
     model::GeneratorOptions options;
     options.fit.batched_cv = batched_cv;
@@ -69,6 +82,7 @@ ModeResult run_mode(const pipeline::CampaignData& data, bool batched_cv,
     const pipeline::RequirementModels models =
         pipeline::model_requirements(data, options);
     const double seconds = seconds_since(start);
+    samples.push_back(seconds);
     if (r == 0 || seconds < result.seconds) result.seconds = seconds;
     if (r == 0) {
       result.stats = models.engine_stats();
@@ -77,6 +91,9 @@ ModeResult run_mode(const pipeline::CampaignData& data, bool batched_cv,
       }
     }
   }
+  result.median_seconds = exareq::median(samples);
+  result.q1_seconds = exareq::quantile(samples, 0.25);
+  result.q3_seconds = exareq::quantile(samples, 0.75);
   return result;
 }
 
@@ -201,15 +218,23 @@ int main(int argc, char** argv) {
 
   std::ostringstream json;
   json << "{\n  \"benchmark\": \"fitter\",\n"
-       << "  \"hardware_threads\": " << ThreadPool::hardware_threads() << ",\n"
+       << "  \"meta\": {\"hardware_concurrency\": "
+       << ThreadPool::hardware_threads() << ", \"compiler\": \"" << kCompiler
+       << "\", \"build_type\": \"" << EXAREQ_BUILD_TYPE
+       << "\", \"fit_threads\": "
+       << (fit_threads == 0 ? ThreadPool::hardware_threads() : fit_threads)
+       << ", \"repeat\": " << repeat << "},\n"
        << "  \"grid\": {\"process_counts\": " << config.process_counts.size()
        << ", \"problem_sizes\": " << config.problem_sizes.size() << "},\n"
-       << "  \"repeat\": " << repeat << ",\n  \"apps\": [\n";
+       << "  \"apps\": [\n";
   for (std::size_t a = 0; a < results.size(); ++a) {
     const AppResult& r = results[a];
     const auto mode_json = [&](const ModeResult& mode) {
       std::ostringstream os;
       os << "{\"seconds\": " << mode.seconds
+         << ", \"median_seconds\": " << mode.median_seconds
+         << ", \"q1_seconds\": " << mode.q1_seconds
+         << ", \"q3_seconds\": " << mode.q3_seconds
          << ", \"hypotheses\": " << mode.stats.hypotheses_scored
          << ", \"cv_solves\": " << mode.stats.cv_solves
          << ", \"qr_extensions\": " << mode.stats.qr_extensions

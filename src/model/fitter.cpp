@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 
 #include "model/term_cache.hpp"
@@ -144,6 +145,43 @@ FitQuality evaluate_quality(const MeasurementSet& data, const Model& model,
   return quality;
 }
 
+/// Hash and equality of ordered term-id sequences, the score memo's key.
+/// Transparent, so a lookup takes a span and builds no key object.
+struct IdSequenceHash {
+  using is_transparent = void;
+  std::size_t operator()(std::span<const TermId> ids) const {
+    std::size_t seed = ids.size();
+    for (TermId id : ids) {
+      seed ^= id + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
+    }
+    return seed;
+  }
+};
+
+struct IdSequenceEqual {
+  using is_transparent = void;
+  bool operator()(std::span<const TermId> a, std::span<const TermId> b) const {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+};
+
+/// Per-thread scratch of the batched CV engine. Every buffer keeps its
+/// capacity between uses, so once a thread has scored the largest
+/// hypothesis of a fit, scoring another candidate allocates nothing. A
+/// parallel task touches only its own thread's workspace.
+struct Workspace {
+  RetainedQr trial;                       ///< one candidate's factorization
+  std::vector<double> column;             ///< weighted candidate column
+  std::vector<double> fold;               ///< one fold's k + 1 coefficients
+  std::vector<double> fold_coefficients;  ///< k x m, term-major
+  std::vector<TermId> key;                ///< memo key being assembled
+};
+
+Workspace& workspace() {
+  thread_local Workspace local;
+  return local;
+}
+
 }  // namespace
 
 double EngineStats::cache_hit_rate() const {
@@ -178,7 +216,11 @@ struct FitEngine::Impl {
   std::atomic<std::size_t> extension_count{0};
   std::atomic<std::size_t> downdate_count{0};
   std::mutex memo_mutex;
-  std::unordered_map<std::string, double> score_memo;
+  /// Keyed by the ordered term-id sequence: order-sensitive, because column
+  /// order changes the rounding of the factorization.
+  std::unordered_map<std::vector<TermId>, double, IdSequenceHash,
+                     IdSequenceEqual>
+      score_memo;
 
   // Precomputed once per engine: the fitter's weighted view of the data.
   // The batched path factors [w*1, w*col_1, ...] against w*y directly, so
@@ -222,21 +264,30 @@ struct FitEngine::Impl {
     }
   }
 
-  Columns columns_for(const std::vector<Term>& basis) {
+  std::vector<TermId> intern_all(const std::vector<Term>& basis) {
+    std::vector<TermId> ids;
+    ids.reserve(basis.size());
+    for (const Term& term : basis) ids.push_back(cache.intern(term));
+    return ids;
+  }
+
+  Columns columns_for(std::span<const TermId> ids) {
     Columns columns;
-    columns.reserve(basis.size());
-    for (const Term& term : basis) columns.push_back(&cache.column(term));
+    columns.reserve(ids.size());
+    for (TermId id : ids) columns.push_back(&cache.column(id));
     return columns;
   }
 
   /// Coefficient-stability guard shared by both CV paths: every term must
   /// be estimable consistently from any m-1 of the measurements.
-  bool coefficients_stable(
-      const std::vector<std::vector<double>>& fold_coefficients) const {
-    for (const std::vector<double>& folds : fold_coefficients) {
-      if (folds.size() < 2) continue;
-      const double mean_coefficient = exareq::mean(folds);
-      const double spread = exareq::stddev(folds);
+  /// `fold_coefficients` holds `terms` runs of `folds` values, term-major.
+  bool coefficients_stable(std::span<const double> fold_coefficients,
+                           std::size_t terms, std::size_t folds) const {
+    if (folds < 2) return true;
+    for (std::size_t c = 0; c < terms; ++c) {
+      const auto run = fold_coefficients.subspan(c * folds, folds);
+      const double mean_coefficient = exareq::mean(run);
+      const double spread = exareq::stddev(run);
       if (spread > options.max_coefficient_spread *
                        std::max(std::fabs(mean_coefficient), 1e-300)) {
         return false;
@@ -245,36 +296,42 @@ struct FitEngine::Impl {
     return true;
   }
 
-  /// The candidate column in the weighted problem: w .* column.
-  std::vector<double> weighted_copy(const std::vector<double>& column) const {
-    std::vector<double> out(column);
-    if (!row_weights.empty()) {
-      for (std::size_t r = 0; r < out.size(); ++r) out[r] *= row_weights[r];
+  /// Appends w .* column (the candidate column in the weighted problem),
+  /// staged in `scratch`.
+  void append_weighted(RetainedQr& qr, const std::vector<double>& column,
+                       std::vector<double>& scratch) const {
+    if (row_weights.empty()) {
+      qr.append_column(column);
+      return;
     }
-    return out;
+    scratch.resize(column.size());
+    for (std::size_t r = 0; r < column.size(); ++r) {
+      scratch[r] = column[r] * row_weights[r];
+    }
+    qr.append_column(scratch);
   }
 
-  /// Factors the weighted design [w*1, w*col_1, ..., w*col_k] against w*y,
-  /// retaining the reflectors so callers can extend or downdate it.
-  RetainedQr factor_basis(const Columns& columns) const {
-    RetainedQr qr(data.size(), weighted_values);
+  /// Factors the weighted design [w*1, w*col_1, ..., w*col_k] against w*y
+  /// into `qr`, retaining the reflectors so callers can extend or downdate
+  /// it. Stops appending at the first dependent column.
+  void factor_columns(const Columns& columns, RetainedQr& qr,
+                      std::vector<double>& scratch) const {
+    qr.reset(weighted_values);
     qr.append_column(intercept_column);
     for (const std::vector<double>* column : columns) {
       if (qr.rank_deficient()) break;
-      qr.append_column(weighted_copy(*column));
+      append_weighted(qr, *column, scratch);
     }
-    return qr;
   }
 
-  /// LOO score from an already-solved factorization: admissibility of the
-  /// full fit, then one rank-one downdate per fold instead of a refit.
-  /// Checks per fold mirror the scalar path exactly — finiteness,
-  /// non-negativity, the leverage guard standing in for per-fold rank
-  /// deficiency — so both paths reject the same hypotheses.
-  double cv_from_factored(const RetainedQr& qr, const Columns& columns) {
+  /// LOO score from an already-solved factorization of a k-term hypothesis:
+  /// admissibility of the full fit, then one rank-one downdate per fold
+  /// instead of a refit. Checks per fold mirror the scalar path exactly —
+  /// finiteness, non-negativity, the leverage guard standing in for
+  /// per-fold rank deficiency — so both paths reject the same hypotheses.
+  double cv_from_factored(const RetainedQr& qr, std::size_t k, Workspace& ws) {
     const std::size_t m = data.size();
-    const std::size_t k = columns.size();
-    const std::vector<double>& beta = qr.solution();
+    const std::span<const double> beta = qr.solution();
     for (double c : beta) {
       if (!std::isfinite(c)) return kInfinity;
     }
@@ -284,23 +341,28 @@ struct FitEngine::Impl {
       }
     }
 
+    ws.fold.resize(k + 1);
+    ws.fold_coefficients.resize(k * m);
+    std::size_t folds = 0;
+    const auto reject = [&] {
+      downdate_count.fetch_add(folds, std::memory_order_relaxed);
+      return kInfinity;
+    };
     double total = 0.0;
-    std::vector<double> fold(k + 1);
-    std::vector<std::vector<double>> fold_coefficients(k);
     for (std::size_t left_out = 0; left_out < m; ++left_out) {
-      downdate_count.fetch_add(1, std::memory_order_relaxed);
+      ++folds;
       double loo_residual = 0.0;
-      if (!qr.leave_one_out(left_out, fold, &loo_residual)) return kInfinity;
-      for (double c : fold) {
-        if (!std::isfinite(c)) return kInfinity;
+      if (!qr.leave_one_out(left_out, ws.fold, &loo_residual)) return reject();
+      for (double c : ws.fold) {
+        if (!std::isfinite(c)) return reject();
       }
       if (options.require_nonnegative) {
         for (std::size_t c = 1; c <= k; ++c) {
-          if (fold[c] < 0.0) return kInfinity;
+          if (ws.fold[c] < 0.0) return reject();
         }
       }
       for (std::size_t c = 0; c < k; ++c) {
-        fold_coefficients[c].push_back(fold[c + 1]);
+        ws.fold_coefficients[c * m + left_out] = ws.fold[c + 1];
       }
       // The fold's prediction error comes from the PRESS residual, not
       // from re-summing the downdated coefficients — the factored form is
@@ -311,33 +373,36 @@ struct FitEngine::Impl {
       const double predicted = data.value(left_out) - loo_residual / weight;
       total += relative_error(predicted, data.value(left_out), obs_scale);
     }
-    if (!coefficients_stable(fold_coefficients)) return kInfinity;
+    downdate_count.fetch_add(folds, std::memory_order_relaxed);
+    if (!coefficients_stable(ws.fold_coefficients, k, m)) return kInfinity;
     return total / static_cast<double>(m);
   }
 
   /// Batched CV: one retained QR for the whole hypothesis, m downdates.
-  double compute_cv_batched(const std::vector<Term>& basis) {
+  double compute_cv_batched(std::span<const TermId> ids) {
     const std::size_t m = data.size();
-    if (m < basis.size() + 2) return kInfinity;
-    const Columns columns = columns_for(basis);
+    if (m < ids.size() + 2) return kInfinity;
+    const Columns columns = columns_for(ids);
     solves.fetch_add(1, std::memory_order_relaxed);
-    RetainedQr qr = factor_basis(columns);
-    if (qr.rank_deficient()) return kInfinity;
-    qr.solve();
-    return cv_from_factored(qr, columns);
+    Workspace& ws = workspace();
+    factor_columns(columns, ws.trial, ws.column);
+    if (ws.trial.rank_deficient()) return kInfinity;
+    ws.trial.solve();
+    return cv_from_factored(ws.trial, ids.size(), ws);
   }
 
   /// The CV computation proper; `full_fit` lets refit() share its full-data
   /// solve instead of repeating it (scalar mode only — the batched path
   /// needs its own factorization for the downdates anyway).
-  double compute_cv(const std::vector<Term>& basis,
+  double compute_cv(std::span<const TermId> ids,
                     const CoefficientFit* full_fit) {
-    if (options.batched_cv) return compute_cv_batched(basis);
+    if (options.batched_cv) return compute_cv_batched(ids);
     const std::size_t m = data.size();
+    const std::size_t k = ids.size();
     // Need at least one spare point beyond the coefficients to leave out.
-    if (m < basis.size() + 2) return kInfinity;
+    if (m < k + 2) return kInfinity;
 
-    const Columns columns = columns_for(basis);
+    const Columns columns = columns_for(ids);
 
     // The full fit must be admissible (non-negative, full rank); otherwise
     // the hypothesis is rejected outright.
@@ -352,7 +417,7 @@ struct FitEngine::Impl {
     double total = 0.0;
     std::vector<std::size_t> subset;
     subset.reserve(m - 1);
-    std::vector<std::vector<double>> fold_coefficients(basis.size());
+    std::vector<double> fold_coefficients(k * m);
     for (std::size_t left_out = 0; left_out < m; ++left_out) {
       subset.clear();
       for (std::size_t r = 0; r < m; ++r) {
@@ -363,13 +428,13 @@ struct FitEngine::Impl {
                                                   solves);
       if (!fit.admissible) return kInfinity;
       double predicted = fit.constant;
-      for (std::size_t c = 0; c < basis.size(); ++c) {
+      for (std::size_t c = 0; c < k; ++c) {
         predicted += fit.coefficients[c] * (*columns[c])[left_out];
-        fold_coefficients[c].push_back(fit.coefficients[c]);
+        fold_coefficients[c * m + left_out] = fit.coefficients[c];
       }
       total += relative_error(predicted, data.value(left_out), obs_scale);
     }
-    if (!coefficients_stable(fold_coefficients)) return kInfinity;
+    if (!coefficients_stable(fold_coefficients, k, m)) return kInfinity;
     return total / static_cast<double>(m);
   }
 
@@ -385,104 +450,177 @@ struct FitEngine::Impl {
     return score < kNumericallyZero ? 0.0 : score;
   }
 
-  double cv_score(const std::vector<Term>& basis,
+  /// Memoized CV score of the hypothesis `ids` (in column order).
+  double cv_score(std::span<const TermId> ids,
                   const CoefficientFit* full_fit = nullptr) {
     hypotheses.fetch_add(1, std::memory_order_relaxed);
-    const std::string key = basis_key(basis);
     {
       const std::lock_guard<std::mutex> lock(memo_mutex);
-      const auto it = score_memo.find(key);
+      const auto it = score_memo.find(ids);
       if (it != score_memo.end()) {
         score_hits.fetch_add(1, std::memory_order_relaxed);
         return it->second;
       }
     }
-    const double score = selection_score(compute_cv(basis, full_fit));
+    const double score = selection_score(compute_cv(ids, full_fit));
     {
       const std::lock_guard<std::mutex> lock(memo_mutex);
-      score_memo.emplace(key, score);
+      score_memo.emplace(std::vector<TermId>(ids.begin(), ids.end()), score);
     }
     return score;
   }
 
+  /// Looks up every trial of a block in the memo under one lock. Trial j's
+  /// id sequence is written into `key` by `make_key(j, key)`. Counts the
+  /// block as scored, fills `scores` with the hits and returns the indices
+  /// of the misses in order.
+  template <typename MakeKey>
+  std::vector<std::size_t> memo_lookup_block(std::vector<double>& scores,
+                                             const MakeKey& make_key) {
+    hypotheses.fetch_add(scores.size(), std::memory_order_relaxed);
+    std::vector<TermId>& key = workspace().key;
+    std::vector<std::size_t> missing;
+    const std::lock_guard<std::mutex> lock(memo_mutex);
+    for (std::size_t j = 0; j < scores.size(); ++j) {
+      make_key(j, key);
+      const auto it = score_memo.find(std::span<const TermId>(key));
+      if (it != score_memo.end()) {
+        score_hits.fetch_add(1, std::memory_order_relaxed);
+        scores[j] = it->second;
+      } else {
+        missing.push_back(j);
+      }
+    }
+    return missing;
+  }
+
+  /// Publishes the freshly computed scores of a block's misses.
+  template <typename MakeKey>
+  void memo_store_block(std::vector<double>& scores,
+                        const std::vector<std::size_t>& missing,
+                        const std::vector<double>& fresh,
+                        const MakeKey& make_key) {
+    std::vector<TermId>& key = workspace().key;
+    const std::lock_guard<std::mutex> lock(memo_mutex);
+    for (std::size_t idx = 0; idx < missing.size(); ++idx) {
+      scores[missing[idx]] = fresh[idx];
+      make_key(missing[idx], key);
+      score_memo.emplace(key, fresh[idx]);
+    }
+  }
+
+  /// Scalar mode's block scoring: every trial through cv_score, in
+  /// parallel. Trial j's id sequence comes from `make_key(j, key)`.
+  template <typename MakeKey>
+  std::vector<double> score_each(std::size_t count, const MakeKey& make_key) {
+    std::vector<double> scores(count, kInfinity);
+    for_each_index(count, [&](std::size_t j) {
+      std::vector<TermId> trial;
+      make_key(j, trial);
+      scores[j] = cv_score(trial);
+    });
+    return scores;
+  }
+
+  /// Factors [w*1, w*prefix...] once, then scores prefix + candidates[i] +
+  /// suffix for every i on the pool: each task copies the prefix into its
+  /// own thread's workspace and appends its candidate and the suffix — the
+  /// same column sequence a from-scratch factorization of the trial
+  /// appends, so the scores are bit-identical to cv_score's. Inadmissible
+  /// trials keep +inf in `fresh`.
+  void extend_prefix(const Columns& prefix, const Columns& candidates,
+                     const Columns& suffix, std::vector<double>& fresh) {
+    solves.fetch_add(1, std::memory_order_relaxed);
+    RetainedQr shared;
+    factor_columns(prefix, shared, workspace().column);
+    if (shared.rank_deficient()) return;  // every trial is dependent
+    extension_count.fetch_add(candidates.size(), std::memory_order_relaxed);
+    const std::size_t k = prefix.size() + 1 + suffix.size();
+    for_each_index(candidates.size(), [&](std::size_t i) {
+      Workspace& ws = workspace();
+      ws.trial = shared;
+      append_weighted(ws.trial, *candidates[i], ws.column);
+      for (const std::vector<double>* column : suffix) {
+        if (ws.trial.rank_deficient()) break;
+        append_weighted(ws.trial, *column, ws.column);
+      }
+      if (ws.trial.rank_deficient()) return;
+      ws.trial.solve();
+      fresh[i] = selection_score(cv_from_factored(ws.trial, k, ws));
+    });
+  }
+
   /// Scores the whole generation selected + extensions[j]: the shared
   /// prefix [w*1, w*selected...] is factored once, and each candidate
-  /// extends a copy of it by a single Householder column update. Appending
-  /// columns one at a time is arithmetically the same factorization
-  /// cv_score would build for the full trial, so the memoized scores are
-  /// bit-identical between the two entry points.
+  /// extends a copy of it by a single Householder column update.
   std::vector<double> score_extensions_batch(
-      const std::vector<Term>& selected, const std::vector<Term>& extensions) {
+      std::span<const TermId> selected, std::span<const TermId> extensions) {
+    const auto make_key = [&](std::size_t j, std::vector<TermId>& key) {
+      key.assign(selected.begin(), selected.end());
+      key.push_back(extensions[j]);
+    };
+    if (!options.batched_cv) return score_each(extensions.size(), make_key);
+
     std::vector<double> scores(extensions.size(), kInfinity);
-    if (extensions.empty()) return scores;
-    if (!options.batched_cv) {
-      // Scalar mode: the historical per-candidate scoring loop.
-      for_each_index(extensions.size(), [&](std::size_t j) {
-        std::vector<Term> trial = selected;
-        trial.push_back(extensions[j]);
-        scores[j] = cv_score(trial);
-      });
-      return scores;
-    }
-
-    hypotheses.fetch_add(extensions.size(), std::memory_order_relaxed);
-    const std::string prefix_key = basis_key(selected);
-    std::vector<std::string> keys(extensions.size());
-    std::vector<std::size_t> missing;
-    std::vector<Term> one_term(1);
-    {
-      const std::lock_guard<std::mutex> lock(memo_mutex);
-      for (std::size_t j = 0; j < extensions.size(); ++j) {
-        one_term[0] = extensions[j];
-        // basis_key concatenates per-term keys, so prefix + one more term
-        // keys identically to basis_key of the whole trial.
-        keys[j] = prefix_key;
-        keys[j] += basis_key(one_term);
-        const auto it = score_memo.find(keys[j]);
-        if (it != score_memo.end()) {
-          score_hits.fetch_add(1, std::memory_order_relaxed);
-          scores[j] = it->second;
-        } else {
-          missing.push_back(j);
-        }
-      }
-    }
+    const std::vector<std::size_t> missing =
+        memo_lookup_block(scores, make_key);
     if (missing.empty()) return scores;
-
-    const std::size_t m = data.size();
     std::vector<double> fresh(missing.size(), kInfinity);
     // Every trial has selected.size() + 2 coefficients; with fewer points
-    // than that plus a spare, or with a dependent prefix, all candidates
-    // are inadmissible at once and the defaults (+inf) stand.
-    if (m >= selected.size() + 3) {
-      const Columns prefix_columns = columns_for(selected);
-      // The generation's one from-scratch factorization; every candidate
-      // below extends it by a single Householder column, which costs a
-      // column update, not a solve.
-      solves.fetch_add(1, std::memory_order_relaxed);
-      const RetainedQr prefix = factor_basis(prefix_columns);
-      if (!prefix.rank_deficient()) {
-        for_each_index(missing.size(), [&](std::size_t idx) {
-          const Term& extension = extensions[missing[idx]];
-          const std::vector<double>& column = cache.column(extension);
-          extension_count.fetch_add(1, std::memory_order_relaxed);
-          RetainedQr qr = prefix;
-          qr.append_column(weighted_copy(column));
-          if (qr.rank_deficient()) return;  // fresh[idx] stays +inf
-          qr.solve();
-          Columns trial_columns = prefix_columns;
-          trial_columns.push_back(&column);
-          fresh[idx] = selection_score(cv_from_factored(qr, trial_columns));
-        });
+    // than that plus a spare all candidates are inadmissible at once.
+    if (data.size() >= selected.size() + 3) {
+      const Columns prefix = columns_for(selected);
+      Columns candidates;
+      candidates.reserve(missing.size());
+      for (std::size_t j : missing) {
+        candidates.push_back(&cache.column(extensions[j]));
       }
+      extend_prefix(prefix, candidates, {}, fresh);
     }
-    {
-      const std::lock_guard<std::mutex> lock(memo_mutex);
-      for (std::size_t idx = 0; idx < missing.size(); ++idx) {
-        scores[missing[idx]] = fresh[idx];
-        score_memo.emplace(keys[missing[idx]], fresh[idx]);
+    memo_store_block(scores, missing, fresh, make_key);
+    return scores;
+  }
+
+  /// Scores the replacement move selected[position] := replacements[j] for
+  /// every j. Batched, the prefix [w*1, w*s_0 ... w*s_{position-1}] is
+  /// factored once and each trial appends its candidate and then the
+  /// suffix s_{position+1} ....
+  std::vector<double> score_replacements(std::span<const TermId> selected,
+                                         std::size_t position,
+                                         std::span<const TermId> replacements) {
+    const auto make_key = [&](std::size_t j, std::vector<TermId>& key) {
+      key.assign(selected.begin(), selected.end());
+      key[position] = replacements[j];
+    };
+    if (!options.batched_cv) return score_each(replacements.size(), make_key);
+
+    std::vector<double> scores(replacements.size(), kInfinity);
+    const std::vector<std::size_t> missing =
+        memo_lookup_block(scores, make_key);
+    if (missing.empty()) return scores;
+    const std::size_t k = selected.size();
+    std::vector<double> fresh(missing.size(), kInfinity);
+    if (data.size() >= k + 2) {
+      // Each trial reads its k columns through the cache exactly as a
+      // from-scratch scoring would, so the basis-column counters do not
+      // depend on how the factorization is shared.
+      Columns kept(k, nullptr);
+      Columns candidates;
+      candidates.reserve(missing.size());
+      for (std::size_t j : missing) {
+        for (std::size_t t = 0; t < k; ++t) {
+          if (t == position) {
+            candidates.push_back(&cache.column(replacements[j]));
+          } else {
+            kept[t] = &cache.column(selected[t]);
+          }
+        }
       }
+      const auto split = kept.begin() + static_cast<std::ptrdiff_t>(position);
+      extend_prefix(Columns(kept.begin(), split), candidates,
+                    Columns(split + 1, kept.end()), fresh);
     }
+    memo_store_block(scores, missing, fresh, make_key);
     return scores;
   }
 };
@@ -498,19 +636,21 @@ std::size_t FitEngine::thread_count() const { return impl_->options.threads; }
 exareq::ThreadPool* FitEngine::pool() const { return impl_->pool; }
 
 double FitEngine::cv_score(const std::vector<Term>& basis) {
-  return impl_->cv_score(basis);
+  return impl_->cv_score(impl_->intern_all(basis));
 }
 
 std::vector<double> FitEngine::score_extensions(
     const std::vector<Term>& selected, const std::vector<Term>& extensions) {
-  return impl_->score_extensions_batch(selected, extensions);
+  return impl_->score_extensions_batch(impl_->intern_all(selected),
+                                       impl_->intern_all(extensions));
 }
 
 FitResult FitEngine::refit(const std::vector<Term>& basis) {
   exareq::require(!impl_->data.empty(), "refit_hypothesis: empty measurement set");
   const auto started = std::chrono::steady_clock::now();
   const auto rows = all_rows(impl_->data.size());
-  const Columns columns = impl_->columns_for(basis);
+  const std::vector<TermId> ids = impl_->intern_all(basis);
+  const Columns columns = impl_->columns_for(ids);
   const CoefficientFit fit = fit_coefficients(impl_->data.values(), columns,
                                               rows, impl_->options,
                                               impl_->obs_scale, impl_->solves);
@@ -522,7 +662,7 @@ FitResult FitEngine::refit(const std::vector<Term>& basis) {
   FitResult result;
   result.model = make_model(impl_->data, basis, fit);
   result.quality = evaluate_quality(impl_->data, result.model,
-                                    impl_->cv_score(basis, &fit));
+                                    impl_->cv_score(ids, &fit));
   result.stats = stats();
   result.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
@@ -570,10 +710,44 @@ struct ScoredCandidate {
   double complexity = 0.0;
 };
 
-bool duplicates_selected(const std::vector<Term>& selected, const Term& term,
-                         std::size_t skip_position = SIZE_MAX) {
+/// The search's view of the pool: the terms and their interned ids.
+struct Pool {
+  const std::vector<Term>& terms;
+  std::vector<TermId> ids;
+};
+
+/// A hypothesis as pool indices, in column order.
+struct Hypothesis {
+  std::vector<std::size_t> selected;
+  double score = kInfinity;
+
+  double complexity(const Pool& pool) const {
+    double total = 0.0;
+    for (std::size_t index : selected) total += pool.terms[index].complexity();
+    return total;
+  }
+
+  std::vector<TermId> ids(const Pool& pool) const {
+    std::vector<TermId> out;
+    out.reserve(selected.size());
+    for (std::size_t index : selected) out.push_back(pool.ids[index]);
+    return out;
+  }
+
+  std::vector<Term> terms(const Pool& pool) const {
+    std::vector<Term> out;
+    out.reserve(selected.size());
+    for (std::size_t index : selected) out.push_back(pool.terms[index]);
+    return out;
+  }
+};
+
+bool duplicates_selected(const Pool& pool, const std::vector<std::size_t>& selected,
+                         const Term& term, std::size_t skip_position = SIZE_MAX) {
   for (std::size_t i = 0; i < selected.size(); ++i) {
-    if (i != skip_position && selected[i].same_basis(term)) return true;
+    if (i != skip_position && pool.terms[selected[i]].same_basis(term)) {
+      return true;
+    }
   }
   return false;
 }
@@ -585,22 +759,24 @@ bool duplicates_selected(const std::vector<Term>& selected, const Term& term,
 /// in parallel across the engine's pool; the ranking itself is a serial
 /// reduction in pool order, so the result is thread-count invariant.
 std::vector<ScoredCandidate> score_extensions(FitEngine::Impl& engine,
-                                              const std::vector<Term>& pool,
-                                              const std::vector<Term>& selected) {
+                                              const Pool& pool,
+                                              const Hypothesis& hypothesis) {
   std::vector<std::size_t> eligible;
-  eligible.reserve(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (!duplicates_selected(selected, pool[i])) eligible.push_back(i);
+  eligible.reserve(pool.terms.size());
+  for (std::size_t i = 0; i < pool.terms.size(); ++i) {
+    if (!duplicates_selected(pool, hypothesis.selected, pool.terms[i])) {
+      eligible.push_back(i);
+    }
   }
-  std::vector<Term> extensions;
+  std::vector<TermId> extensions;
   extensions.reserve(eligible.size());
-  for (std::size_t index : eligible) extensions.push_back(pool[index]);
+  for (std::size_t index : eligible) extensions.push_back(pool.ids[index]);
   std::vector<double> scores;
   {
     obs::ScopedSpan span("score_extensions", "model");
     span.arg("candidates", static_cast<double>(eligible.size()));
-    span.arg("selected_terms", static_cast<double>(selected.size()));
-    scores = engine.score_extensions_batch(selected, extensions);
+    span.arg("selected_terms", static_cast<double>(hypothesis.selected.size()));
+    scores = engine.score_extensions_batch(hypothesis.ids(pool), extensions);
   }
 
   std::vector<ScoredCandidate> candidates;
@@ -608,7 +784,7 @@ std::vector<ScoredCandidate> score_extensions(FitEngine::Impl& engine,
   for (std::size_t j = 0; j < eligible.size(); ++j) {
     if (!std::isfinite(scores[j])) continue;
     candidates.push_back(
-        {eligible[j], scores[j], pool[eligible[j]].complexity()});
+        {eligible[j], scores[j], pool.terms[eligible[j]].complexity()});
   }
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const ScoredCandidate& a, const ScoredCandidate& b) {
@@ -631,30 +807,19 @@ const ScoredCandidate* pick_candidate(const std::vector<ScoredCandidate>& candid
   return chosen;
 }
 
-struct Hypothesis {
-  std::vector<Term> selected;
-  double score = kInfinity;
-
-  double complexity() const {
-    double total = 0.0;
-    for (const Term& term : selected) total += term.complexity();
-    return total;
-  }
-};
-
 /// Greedy continuation: keeps adding the best significant term.
-void grow_hypothesis(FitEngine::Impl& engine, const std::vector<Term>& pool,
+void grow_hypothesis(FitEngine::Impl& engine, const Pool& pool,
                      Hypothesis& hypothesis) {
   const FitOptions& options = engine.options;
   while (hypothesis.selected.size() < options.max_terms &&
          hypothesis.score > options.score_tolerance) {
-    const auto candidates = score_extensions(engine, pool, hypothesis.selected);
+    const auto candidates = score_extensions(engine, pool, hypothesis);
     const ScoredCandidate* chosen = pick_candidate(candidates, options);
     if (chosen == nullptr) break;
     const bool significant =
         chosen->score < hypothesis.score * (1.0 - options.improvement_threshold);
     if (!significant) break;
-    hypothesis.selected.push_back(pool[chosen->pool_index]);
+    hypothesis.selected.push_back(chosen->pool_index);
     hypothesis.score = chosen->score;
   }
 }
@@ -664,9 +829,10 @@ void grow_hypothesis(FitEngine::Impl& engine, const std::vector<Term>& pool,
 /// pull their weight. Escapes local optima the greedy growth cannot leave —
 /// the PMNF grid is full of near-degenerate shapes, and the exact hypothesis
 /// often differs from the greedy one only in a single factor. Replacement
-/// candidates are scored in parallel; the winner is chosen by a serial scan
-/// in pool order, matching the sequential semantics exactly.
-void refine_hypothesis(FitEngine::Impl& engine, const std::vector<Term>& pool,
+/// candidates for one position share one factorization of the terms before
+/// it and are scored in parallel; the winner is chosen by a serial scan in
+/// pool order, matching the sequential semantics exactly.
+void refine_hypothesis(FitEngine::Impl& engine, const Pool& pool,
                        Hypothesis& hypothesis) {
   const FitOptions& options = engine.options;
   for (int round = 0; round < 4; ++round) {
@@ -675,21 +841,22 @@ void refine_hypothesis(FitEngine::Impl& engine, const std::vector<Term>& pool,
     // Replacement moves.
     for (std::size_t position = 0; position < hypothesis.selected.size();
          ++position) {
+      const Term& current = pool.terms[hypothesis.selected[position]];
       std::vector<std::size_t> trials;
-      trials.reserve(pool.size());
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        if (duplicates_selected(hypothesis.selected, pool[i], position) ||
-            hypothesis.selected[position].same_basis(pool[i])) {
+      std::vector<TermId> replacements;
+      trials.reserve(pool.terms.size());
+      replacements.reserve(pool.terms.size());
+      for (std::size_t i = 0; i < pool.terms.size(); ++i) {
+        if (duplicates_selected(pool, hypothesis.selected, pool.terms[i],
+                                position) ||
+            current.same_basis(pool.terms[i])) {
           continue;
         }
         trials.push_back(i);
+        replacements.push_back(pool.ids[i]);
       }
-      std::vector<double> scores(trials.size(), kInfinity);
-      engine.for_each_index(trials.size(), [&](std::size_t j) {
-        std::vector<Term> trial = hypothesis.selected;
-        trial[position] = pool[trials[j]];
-        scores[j] = engine.cv_score(trial);
-      });
+      const std::vector<double> scores = engine.score_replacements(
+          hypothesis.ids(pool), position, replacements);
       std::size_t best_index = SIZE_MAX;
       double best_score = hypothesis.score;
       for (std::size_t j = 0; j < trials.size(); ++j) {
@@ -699,7 +866,7 @@ void refine_hypothesis(FitEngine::Impl& engine, const std::vector<Term>& pool,
         }
       }
       if (best_index != SIZE_MAX) {
-        hypothesis.selected[position] = pool[best_index];
+        hypothesis.selected[position] = best_index;
         hypothesis.score = best_score;
         improved = true;
       }
@@ -708,15 +875,16 @@ void refine_hypothesis(FitEngine::Impl& engine, const std::vector<Term>& pool,
     // Pruning moves: drop any term whose removal does not hurt the score
     // beyond the tie tolerance (simpler models extrapolate better).
     for (std::size_t position = 0; position < hypothesis.selected.size();) {
-      std::vector<Term> trial = hypothesis.selected;
-      trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(position));
-      const double score = engine.cv_score(trial);
+      Hypothesis trial = hypothesis;
+      trial.selected.erase(trial.selected.begin() +
+                           static_cast<std::ptrdiff_t>(position));
+      const double score = engine.cv_score(trial.ids(pool));
       // A term is dropped when its removal keeps the score within the tie
       // band or below the noise floor — it was fitting sub-noise residuals.
       const double keep_bound = std::max(
           hypothesis.score * (1.0 + options.tie_tolerance), options.score_tolerance);
       if (std::isfinite(score) && score <= keep_bound + 1e-15) {
-        hypothesis.selected = std::move(trial);
+        hypothesis.selected = std::move(trial.selected);
         hypothesis.score = score;
         improved = true;
       } else {
@@ -731,18 +899,19 @@ void refine_hypothesis(FitEngine::Impl& engine, const std::vector<Term>& pool,
 }  // namespace
 
 FitResult fit_with_pool_engine(FitEngine& engine_handle,
-                               const std::vector<Term>& pool) {
+                               const std::vector<Term>& pool_terms) {
   FitEngine::Impl& engine = *engine_handle.impl_;
   const MeasurementSet& data = engine.data;
   const FitOptions& options = engine.options;
   const auto started = std::chrono::steady_clock::now();
   obs::ScopedSpan span("fit_with_pool", "model");
-  span.arg("pool_terms", static_cast<double>(pool.size()));
+  span.arg("pool_terms", static_cast<double>(pool_terms.size()));
   span.arg("points", static_cast<double>(data.size()));
   const EngineStats stats_before = engine_handle.stats();
   exareq::require(!data.empty(), "fit_with_pool: empty measurement set");
   exareq::require(options.max_terms >= 1, "fit_with_pool: max_terms must be >= 1");
   exareq::require(options.beam_width >= 1, "fit_with_pool: beam_width must be >= 1");
+  const Pool pool{pool_terms, engine.intern_all(pool_terms)};
 
   double constant_score = engine.cv_score({});
   // A constant hypothesis can be inadmissible only for tiny data sets; fall
@@ -763,7 +932,7 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
   Hypothesis best;
   best.score = constant_score;
   if (constant_score > options.score_tolerance) {
-    const auto first_candidates = score_extensions(engine, pool, {});
+    const auto first_candidates = score_extensions(engine, pool, Hypothesis{});
     // Branch on every candidate whose single-term score sits within a
     // factor of the best one (the PMNF grid clusters many near-degenerate
     // shapes at the top, and the right *foundation* term is frequently not
@@ -782,7 +951,7 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
       if (!significant) break;  // candidates are sorted; none further qualify
       ++branched;
       Hypothesis branch;
-      branch.selected = {pool[seed.pool_index]};
+      branch.selected = {seed.pool_index};
       branch.score = seed.score;
       grow_hypothesis(engine, pool, branch);
       refine_hypothesis(engine, pool, branch);
@@ -790,24 +959,24 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
           branch.score < best.score * (1.0 - options.tie_tolerance) - 1e-12;
       const bool tied_but_simpler =
           branch.score < best.score * (1.0 + options.tie_tolerance) + 1e-12 &&
-          branch.complexity() < best.complexity();
+          branch.complexity(pool) < best.complexity(pool);
       if (better || (tied_but_simpler && !best.selected.empty())) {
         best = std::move(branch);
       }
     }
   }
 
-  std::vector<Term>& selected = best.selected;
   double current_score = best.score;
 
   // Negligible-term pruning: refit, measure each term's largest relative
   // contribution over the data, and drop terms below the threshold.
   const auto rows = all_rows(data.size());
-  for (bool pruned = true; pruned && !selected.empty();) {
+  for (bool pruned = true; pruned && !best.selected.empty();) {
     pruned = false;
+    const std::vector<Term> selected = best.terms(pool);
     const CoefficientFit trial_fit =
-        fit_coefficients(data.values(), engine.columns_for(selected), rows,
-                         options, engine.obs_scale, engine.solves);
+        fit_coefficients(data.values(), engine.columns_for(best.ids(pool)),
+                         rows, options, engine.obs_scale, engine.solves);
     if (!trial_fit.admissible) break;
     const Model trial_model = make_model(data, selected, trial_fit);
     for (std::size_t t = 0; t < selected.size(); ++t) {
@@ -822,23 +991,24 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
             std::fabs(contributing.evaluate(data.coordinate(k))) / total);
       }
       if (max_share >= options.min_term_contribution) continue;
-      std::vector<Term> trial = selected;
-      trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(t));
-      const double rescored = engine.cv_score(trial);
+      Hypothesis trial = best;
+      trial.selected.erase(trial.selected.begin() + static_cast<std::ptrdiff_t>(t));
+      const double rescored = engine.cv_score(trial.ids(pool));
       // The pruned basis can be CV-inadmissible even though the full
       // hypothesis was fine (the dropped term may be what keeps a fold fit
       // non-negative or stable). Pruning must never launder a finite score
       // into +inf: keep the term and the pre-prune score in that case.
       if (!std::isfinite(rescored)) continue;
-      selected = std::move(trial);
+      best.selected = std::move(trial.selected);
       current_score = rescored;
       pruned = true;
       break;
     }
   }
 
+  std::vector<Term> selected = best.terms(pool);
   CoefficientFit fit =
-      fit_coefficients(data.values(), engine.columns_for(selected), rows,
+      fit_coefficients(data.values(), engine.columns_for(best.ids(pool)), rows,
                        options, engine.obs_scale, engine.solves);
   if (!fit.admissible) {
     // Degenerate data (fewer points than coefficients was excluded by the

@@ -97,12 +97,20 @@ struct FitOptions {
 struct EngineStats {
   std::size_t hypotheses_scored = 0;  ///< CV scorings requested (incl. memo hits)
   std::size_t score_cache_hits = 0;   ///< served from the hypothesis-score memo
-  /// Least-squares factorizations built from scratch. Candidate extensions
-  /// that reuse a retained prefix factorization are not solves — they cost
-  /// one Householder column, not a refactorization — and are counted in
-  /// qr_extensions instead.
+  /// Least-squares factorizations built from scratch: in batched mode one
+  /// per cv_score memo miss, one shared prefix per score_extensions
+  /// generation and one per replacement-move position of the search (each
+  /// only when at least one of its candidates missed the memo), plus the
+  /// full-data coefficient solves; in scalar mode every full and per-fold
+  /// solve. Candidates that extend a retained prefix are not solves — they
+  /// cost a few Householder columns, not a refactorization — and are
+  /// counted in qr_extensions instead.
   std::size_t cv_solves = 0;
-  std::size_t qr_extensions = 0;      ///< single-column prefix extensions (batched mode)
+  /// Candidate factorizations built by copying a retained prefix and
+  /// appending columns (batched mode): one per extension candidate (its one
+  /// column) and one per replacement trial (its candidate, then the
+  /// selected terms after the replaced position).
+  std::size_t qr_extensions = 0;
   std::size_t downdates = 0;          ///< rank-one LOO downdates (batched mode)
   std::size_t basis_column_hits = 0;  ///< basis columns served from the cache
   std::size_t basis_columns_built = 0;  ///< distinct basis columns evaluated

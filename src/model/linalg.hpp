@@ -62,13 +62,33 @@ LeastSquaresResult weighted_least_squares(const Matrix& a,
 /// Numerics match `least_squares`: every column is equilibrated to unit
 /// max-norm on entry and solutions are reported in the original scaling; a
 /// column whose trailing norm collapses below 1e-12 marks the factorization
-/// rank-deficient. Storage is structure-of-arrays (one contiguous vector
-/// per column / reflector), which keeps the reflector sweeps and downdates
-/// on linear, vectorizable loops.
+/// rank-deficient.
+///
+/// Storage is flat and column-major: the equilibrated design and the
+/// reflectors each live in one rows x capacity buffer (reflector k occupies
+/// rows [k, rows) of its column), and R is packed upper-triangular by
+/// column. The column capacity grows on demand. Copy-assigning into an
+/// existing factorization copies only the used prefix and reuses its
+/// buffers, so a per-thread workspace that is re-seeded from a shared
+/// prefix for every candidate allocates nothing once it has seen the
+/// largest system.
 class RetainedQr {
  public:
   /// Starts an empty factorization of a `rows`-row system against `rhs`.
   RetainedQr(std::size_t rows, std::span<const double> rhs);
+  /// An empty workspace of no rows, to be reset() or copy-assigned into.
+  RetainedQr() = default;
+
+  RetainedQr(const RetainedQr& other);
+  /// Copies `other`'s used prefix; allocates only when this object's
+  /// buffers are too small for it.
+  RetainedQr& operator=(const RetainedQr& other);
+  RetainedQr(RetainedQr&&) noexcept = default;
+  RetainedQr& operator=(RetainedQr&&) noexcept = default;
+
+  /// Restarts as an empty factorization of a rhs.size()-row system against
+  /// `rhs`, keeping the buffers (no allocation when they are large enough).
+  void reset(std::span<const double> rhs);
 
   /// Appends one design column: equilibrates it, applies the retained
   /// reflectors in order (exactly the reflections `least_squares` would
@@ -78,7 +98,7 @@ class RetainedQr {
   void append_column(std::span<const double> column);
 
   std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return r_columns_.size(); }
+  std::size_t cols() const { return cols_; }
   bool rank_deficient() const { return rank_deficient_; }
 
   /// Solves R x = Q^T b and caches the residuals; call after the last
@@ -86,11 +106,12 @@ class RetainedQr {
   void solve();
 
   /// Coefficients in the original column scaling (call solve() first).
-  const std::vector<double>& solution() const;
+  std::span<const double> solution() const;
 
   /// Coefficients of the fit with row `row` removed (original scaling), by
   /// a Sherman-Morrison rank-one downdate of the factored system —
-  /// O(cols^2) instead of a refit. Returns false when the downdated system
+  /// O(cols^2) instead of a refit, with no heap work for up to
+  /// kStackColumns columns. Returns false when the downdated system
   /// is numerically singular: the row's leverage is within tolerance of 1,
   /// so removing it would drop the rank (the analogue of the per-fold
   /// rank-deficiency the scalar path detects). Requires solve() first.
@@ -104,29 +125,42 @@ class RetainedQr {
   bool leave_one_out(std::size_t row, std::span<double> out,
                      double* loo_residual = nullptr) const;
 
+  /// Column count up to which leave_one_out keeps its scratch on the stack.
+  static constexpr std::size_t kStackColumns = 16;
+
  private:
-  /// Householder reflector spanning rows [start, rows).
-  struct Reflector {
-    std::size_t start = 0;
-    double norm_sq = 0.0;
-    std::vector<double> v;
-  };
+  /// Columns a freshly constructed factorization has room for before its
+  /// first regrowth.
+  static constexpr std::size_t kInitialColumns = 4;
+
+  /// Makes every buffer large enough for `columns` columns of the current
+  /// row count, keeping the used prefix.
+  void reserve_columns(std::size_t columns);
+  double& r_at(std::size_t row, std::size_t col) {
+    return r_[col * (col + 1) / 2 + row];
+  }
+  double r_at(std::size_t row, std::size_t col) const {
+    return r_[col * (col + 1) / 2 + row];
+  }
 
   std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
   bool rank_deficient_ = false;
   bool solved_ = false;
-  std::vector<double> rhs_;           ///< untouched right-hand side
   std::vector<double> qtb_;           ///< Q^T b, updated per reflector
+  std::vector<double> residuals_;     ///< b - A~ x~ per row
   std::vector<double> column_scale_;
-  /// Equilibrated design, one contiguous vector per column (needed by the
-  /// downdate, which reads whole rows of the design).
-  std::vector<std::vector<double>> equilibrated_;
-  std::vector<Reflector> reflectors_;
-  /// R by column: r_columns_[c][i] = R(i, c) for i <= c.
-  std::vector<std::vector<double>> r_columns_;
+  /// Equilibrated design, column c at [c * rows, (c + 1) * rows) (the
+  /// downdate reads whole rows of it).
+  std::vector<double> design_;
+  /// Reflector k at [k * rows + k, (k + 1) * rows); one per column except
+  /// the collapsed last one of a rank-deficient factorization.
+  std::vector<double> reflectors_;
+  std::vector<double> reflector_norm_sq_;
+  /// R packed by column: R(i, c) at c * (c + 1) / 2 + i for i <= c.
+  std::vector<double> r_;
   std::vector<double> scaled_solution_;  ///< in equilibrated scaling
   std::vector<double> solution_;         ///< in original scaling
-  std::vector<double> residuals_;        ///< b - A~ x~ per row
 };
 
 }  // namespace exareq::model

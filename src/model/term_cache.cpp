@@ -1,36 +1,49 @@
 #include "model/term_cache.hpp"
 
-#include <cstring>
+#include <bit>
 
 #include "support/error.hpp"
 
 namespace exareq::model {
 namespace {
 
-void append_raw(std::string& key, const void* bytes, std::size_t size) {
-  key.append(static_cast<const char*>(bytes), size);
-}
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
-void append_factor(std::string& key, const Factor& factor) {
-  append_raw(key, &factor.parameter, sizeof(factor.parameter));
-  append_raw(key, &factor.poly_exponent, sizeof(factor.poly_exponent));
-  append_raw(key, &factor.log_exponent, sizeof(factor.log_exponent));
-  const auto special = static_cast<int>(factor.special);
-  append_raw(key, &special, sizeof(special));
-}
-
-void append_term(std::string& key, const Term& term) {
-  key.push_back('t');
-  for (const Factor& factor : term.factors) append_factor(key, factor);
+std::size_t mix(std::size_t seed, std::uint64_t value) {
+  // boost::hash_combine's mixing step, widened to 64 bits.
+  return seed ^ (static_cast<std::size_t>(value) + 0x9e3779b97f4a7c15ULL +
+                 (seed << 6) + (seed >> 2));
 }
 
 }  // namespace
 
-std::string basis_key(const std::vector<Term>& basis) {
-  std::string key;
-  key.reserve(basis.size() * 32);
-  for (const Term& term : basis) append_term(key, term);
-  return key;
+std::size_t TermCache::BitwiseHash::operator()(const Factor& factor) const {
+  std::size_t seed = factor.parameter;
+  seed = mix(seed, bits(factor.poly_exponent));
+  seed = mix(seed, bits(factor.log_exponent));
+  return mix(seed, static_cast<std::uint64_t>(factor.special));
+}
+
+std::size_t TermCache::BitwiseHash::operator()(
+    const std::vector<Factor>& factors) const {
+  std::size_t seed = factors.size();
+  for (const Factor& factor : factors) seed = mix(seed, (*this)(factor));
+  return seed;
+}
+
+bool TermCache::BitwiseEqual::operator()(const Factor& a, const Factor& b) const {
+  return a.parameter == b.parameter &&
+         bits(a.poly_exponent) == bits(b.poly_exponent) &&
+         bits(a.log_exponent) == bits(b.log_exponent) && a.special == b.special;
+}
+
+bool TermCache::BitwiseEqual::operator()(const std::vector<Factor>& a,
+                                         const std::vector<Factor>& b) const {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!(*this)(a[i], b[i])) return false;
+  }
+  return true;
 }
 
 TermCache::TermCache(const MeasurementSet& data) : data_(&data) {
@@ -53,9 +66,7 @@ const std::vector<double>& TermCache::log2_table(std::size_t parameter) const {
 }
 
 const std::vector<double>& TermCache::factor_column_locked(const Factor& factor) {
-  std::string key;
-  append_factor(key, factor);
-  const auto it = factor_columns_.find(key);
+  const auto it = factor_columns_.find(factor);
   if (it != factor_columns_.end()) return *it->second;
   exareq::require(factor.parameter < log2_tables_.size(),
                   "TermCache: factor parameter out of range");
@@ -67,7 +78,7 @@ const std::vector<double>& TermCache::factor_column_locked(const Factor& factor)
         factor.evaluate_with_log2(data_->coordinate(r)[factor.parameter],
                                   log2s[r]));
   }
-  return *factor_columns_.emplace(key, std::move(values)).first->second;
+  return *factor_columns_.emplace(factor, std::move(values)).first->second;
 }
 
 const std::vector<double>& TermCache::factor_column(const Factor& factor) {
@@ -75,24 +86,34 @@ const std::vector<double>& TermCache::factor_column(const Factor& factor) {
   return factor_column_locked(factor);
 }
 
-const std::vector<double>& TermCache::column(const Term& term) {
-  std::string key;
-  append_term(key, term);
+TermId TermCache::intern(const Term& term) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = columns_.find(key);
-  if (it != columns_.end()) {
+  const auto it = ids_.find(term.factors);
+  if (it != ids_.end()) return it->second;
+  const auto id = static_cast<TermId>(entries_.size());
+  entries_.emplace_back().factors = term.factors;
+  ids_.emplace(term.factors, id);
+  return id;
+}
+
+const std::vector<double>& TermCache::column(TermId id) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  exareq::require(id < entries_.size(), "TermCache::column: unknown id");
+  Entry& entry = entries_[id];
+  if (entry.values != nullptr) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return *it->second;
+    return *entry.values;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   // Ordered product of the factor columns — the same multiplications, in
   // the same order, as Term::evaluate_basis per coordinate.
   auto values = std::make_unique<std::vector<double>>(data_->size(), 1.0);
-  for (const Factor& factor : term.factors) {
+  for (const Factor& factor : entry.factors) {
     const std::vector<double>& part = factor_column_locked(factor);
     for (std::size_t r = 0; r < values->size(); ++r) (*values)[r] *= part[r];
   }
-  return *columns_.emplace(key, std::move(values)).first->second;
+  entry.values = std::move(values);
+  return *entry.values;
 }
 
 }  // namespace exareq::model

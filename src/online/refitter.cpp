@@ -45,7 +45,7 @@ RefitOutcome IncrementalRefitter::refit(
   outcome.rows_total = snapshot.measurements.size();
   if (outcome.rows_total == 0) return outcome;
 
-  if (!registry_.try_begin_fit(app)) {
+  if (!registry_.try_begin_refit(app)) {
     // A query-triggered fit (or another refit) holds the single-flight
     // gate; the rows stay accumulated and the caller retries.
     outcome.busy = true;
@@ -67,7 +67,7 @@ RefitOutcome IncrementalRefitter::refit(
     bundle = fit_(snapshot);
   } catch (const std::exception& error) {
     outcome.error = error.what();
-    registry_.end_fit(app, false);
+    registry_.end_refit(app);
     return outcome;
   }
   outcome.mean_abs_relative_error = bundle.mean_abs_relative_error;
@@ -78,7 +78,7 @@ RefitOutcome IncrementalRefitter::refit(
                         VersionSource::kOnlineRefit, outcome.rows_total,
                         bundle.mean_abs_relative_error);
   outcome.published = true;
-  registry_.end_fit(app, true);
+  registry_.end_refit(app);
 
   if (options_.max_quality_regression > 0.0 && displaced &&
       !std::isnan(displaced->mean_abs_relative_error) &&

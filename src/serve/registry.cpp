@@ -58,11 +58,31 @@ bool ModelRegistry::rollback(const std::string& app) {
   return true;
 }
 
-bool ModelRegistry::try_begin_fit(const std::string& app) {
-  std::lock_guard<std::mutex> lock(mutex_);
+bool ModelRegistry::take_gate_locked(const std::string& app) {
   Entry& entry = entries_[key_of(app)];
   if (entry.fitting) return false;
   entry.fitting = true;
+  return true;
+}
+
+void ModelRegistry::release_gate_locked(const std::string& app) {
+  entries_[key_of(app)].fitting = false;
+  fit_done_.notify_all();
+}
+
+bool ModelRegistry::try_begin_refit(const std::string& app) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return take_gate_locked(app);
+}
+
+void ModelRegistry::end_refit(const std::string& app) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  release_gate_locked(app);
+}
+
+bool ModelRegistry::try_begin_fit(const std::string& app) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!take_gate_locked(app)) return false;
   ++stats_.fits_started;
   ++stats_.in_flight_fits;
   return true;
@@ -70,15 +90,13 @@ bool ModelRegistry::try_begin_fit(const std::string& app) {
 
 void ModelRegistry::end_fit(const std::string& app, bool completed) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = entries_[key_of(app)];
-  entry.fitting = false;
   --stats_.in_flight_fits;
   if (completed) {
     ++stats_.fits_completed;
   } else {
     ++stats_.fit_failures;
   }
-  fit_done_.notify_all();
+  release_gate_locked(app);
 }
 
 codesign::AppRequirements read_model_file(const std::string& path) {

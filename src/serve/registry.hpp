@@ -10,9 +10,11 @@
 // several queries miss the same application concurrently, exactly one
 // thread runs the fit while the others wait on it and share the result —
 // the fit is seconds of work, so stampeding it would multiply the service's
-// heaviest operation. The online refitter reuses the same gate
-// (`try_begin_fit`/`end_fit`), so a background refit and a query-triggered
-// fit of the same application never race.
+// heaviest operation. The online refitter takes the same gate
+// (`try_begin_refit`/`end_refit`), so a background refit and a
+// query-triggered fit of the same application never race; only
+// query-triggered fits count in the registry's fits_* counters (online
+// refits have their own in online::OnlineStats).
 //
 // Every entry owns an online::VersionedModel hot-swap slot: a publish flips
 // queries to the new version in one atomic store, and readers of an
@@ -121,9 +123,17 @@ class ModelRegistry {
   /// Single-flight gate, shared between query-triggered fit-on-demand and
   /// the online refitter: returns true when the caller acquired the
   /// exclusive right to fit `app` (it must call `end_fit` when done),
-  /// false when another fit for the same app is already in flight.
+  /// false when another fit for the same app is already in flight. A fit
+  /// taken this way counts as a fit-on-demand (fits_started, in_flight_fits,
+  /// then fits_completed or fit_failures).
   bool try_begin_fit(const std::string& app);
   void end_fit(const std::string& app, bool completed);
+
+  /// The same gate for the online refitter, which counts its refits in
+  /// online::OnlineStats: acquiring and releasing it changes no registry
+  /// counter.
+  bool try_begin_refit(const std::string& app);
+  void end_refit(const std::string& app);
 
   /// Loaded application names, sorted.
   std::vector<std::string> app_names() const;
@@ -143,6 +153,9 @@ class ModelRegistry {
   };
 
   static std::string key_of(const std::string& app);
+  /// Gate primitives; the caller holds mutex_.
+  bool take_gate_locked(const std::string& app);
+  void release_gate_locked(const std::string& app);
 
   Fitter fitter_;
   mutable std::mutex mutex_;

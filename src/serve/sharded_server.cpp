@@ -129,16 +129,28 @@ std::vector<std::string> ShardedServer::submit_batch(
     return responses;
   }
 
-  // Bucket by owning shard; status requests are answered here, at the
-  // front end, because only it sees the cross-shard aggregate.
-  std::vector<std::vector<std::size_t>> buckets(shards_.size());
+  // Status requests are answered here, at the front end, because only it
+  // sees the cross-shard aggregate; each one waits for the segment above it
+  // so its counters include those requests.
+  std::size_t begin = 0;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].kind == RequestKind::kStatus) {
-      front_metrics_.requests.fetch_add(1, std::memory_order_relaxed);
-      front_metrics_.responses_ok.fetch_add(1, std::memory_order_relaxed);
-      responses[i] = ok_response("status " + front_status_line());
-      continue;
-    }
+    if (requests[i].kind != RequestKind::kStatus) continue;
+    dispatch(requests, begin, i, responses);
+    front_metrics_.requests.fetch_add(1, std::memory_order_relaxed);
+    front_metrics_.responses_ok.fetch_add(1, std::memory_order_relaxed);
+    responses[i] = ok_response("status " + front_status_line());
+    begin = i + 1;
+  }
+  dispatch(requests, begin, requests.size(), responses);
+  return responses;
+}
+
+void ShardedServer::dispatch(const std::vector<Request>& requests,
+                             std::size_t begin, std::size_t end,
+                             std::vector<std::string>& responses) {
+  if (begin == end) return;
+  std::vector<std::vector<std::size_t>> buckets(shards_.size());
+  for (std::size_t i = begin; i < end; ++i) {
     buckets[shard_of(requests[i].app)].push_back(i);
   }
 
@@ -188,7 +200,6 @@ std::vector<std::string> ShardedServer::submit_batch(
               : error_response("internal", "shard reply missing a record");
     }
   }
-  return responses;
 }
 
 std::string ShardedServer::handle(const Request& request) {

@@ -115,7 +115,9 @@ class ShardedServer {
 
   /// Answers a batch: bucket by shard, dispatch the buckets in parallel,
   /// scatter the responses back into request order. Status requests are
-  /// answered at the front end (they need the cross-shard aggregate).
+  /// answered at the front end (they need the cross-shard aggregate), after
+  /// every request above them in the batch has been answered: the batch is
+  /// split at each status, and a batch without one is a single fan-out.
   /// Thread-safe; any number of client threads may batch concurrently.
   std::vector<std::string> submit_batch(const std::vector<Request>& requests);
 
@@ -162,6 +164,10 @@ class ShardedServer {
     std::thread thread;
   };
 
+  /// Fans requests [begin, end) (no status among them) out to their
+  /// shards and writes each answer into its slot of `responses`.
+  void dispatch(const std::vector<Request>& requests, std::size_t begin,
+                std::size_t end, std::vector<std::string>& responses);
   void shard_loop(std::size_t shard_index);
   std::string process_one(Shard& shard, const binary::RequestView& view);
   std::string front_status_line();

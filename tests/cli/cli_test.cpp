@@ -383,6 +383,50 @@ TEST(CliTest, ServeAnswersRequestsFileAsOneShardedBatch) {
   std::remove(requests.c_str());
 }
 
+TEST(CliTest, ServeStatusLineReflectsTheLinesAboveIt) {
+  // A status request waits for every earlier line of its batch, so its
+  // counters include them; lines after it are not counted.
+  const std::string lulesh = write_bundle_file("lulesh");
+  const std::string requests = "/tmp/exareq_cli_status_order_" +
+                               std::to_string(::getpid()) + ".txt";
+  {
+    std::ofstream file(requests);
+    file << "eval lulesh flops 64 100\n"
+         << "ingest lulesh p,n,bytes_used,flops,loads_stores,"
+            "bytes_sent_received,stack_distance;4,64,1e3,2e6,3e5,4e4,12.5\n"
+         << "status\n"
+         << "eval lulesh flops 64 200\n"
+         << "status\n";
+  }
+  const CliRun result =
+      run({"serve", "--models", lulesh, "--requests", requests, "--status"});
+  ASSERT_EQ(result.exit_code, 0) << result.err;
+  std::vector<std::string> lines;
+  std::stringstream stream(result.out);
+  std::string line;
+  while (std::getline(stream, line)) lines.push_back(line);
+  ASSERT_GE(lines.size(), 5u) << result.out;
+  EXPECT_EQ(lines[0].rfind("ok eval ", 0), 0u) << lines[0];
+  EXPECT_EQ(lines[1].rfind("ok ingest accepted=1", 0), 0u) << lines[1];
+  EXPECT_EQ(lines[2].rfind("ok status requests=3 ", 0), 0u) << lines[2];
+  EXPECT_NE(lines[2].find(" online_rows=1 "), std::string::npos) << lines[2];
+  EXPECT_EQ(lines[3].rfind("ok eval ", 0), 0u) << lines[3];
+  EXPECT_EQ(lines[4].rfind("ok status requests=5 ", 0), 0u) << lines[4];
+  // The one-row refit at shutdown fails; it is an online refit, not a
+  // query-triggered fit, so only the online section counts it.
+  EXPECT_TRUE(std::regex_search(result.out,
+                                std::regex(R"(fits started +\| +0 \|)")))
+      << result.out;
+  EXPECT_TRUE(std::regex_search(result.out,
+                                std::regex(R"(fit failures +\| +0 \|)")))
+      << result.out;
+  EXPECT_TRUE(std::regex_search(result.out,
+                                std::regex(R"(refit failures +\| +1 \|)")))
+      << result.out;
+  std::remove(lulesh.c_str());
+  std::remove(requests.c_str());
+}
+
 TEST(CliTest, ServeWithoutSinkFailsWithMessage) {
   const CliRun result = run({"serve", "--workers", "2"});
   EXPECT_EQ(result.exit_code, 1);

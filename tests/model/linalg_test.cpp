@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "support/error.hpp"
@@ -292,6 +293,142 @@ TEST(RetainedQrTest, ValidatesArguments) {
   EXPECT_THROW(qr.leave_one_out(3, out), exareq::InvalidArgument);  // row range
   EXPECT_THROW(qr.append_column(std::vector<double>{1.0, 2.0, 3.0}),
                exareq::InvalidArgument);  // append after solve
+}
+
+// --- RetainedQr workspaces: reuse must not change a single bit ----------
+
+/// A random well-conditioned rows x cols design and right-hand side.
+struct System {
+  Matrix a;
+  std::vector<double> b;
+};
+
+System random_system(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  Rng rng(seed);
+  System system{Matrix(rows, cols), std::vector<double>(rows)};
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      system.a(r, c) = rng.uniform(0.5, 8.0) * std::pow(10.0, double(c % 3));
+    }
+    system.b[r] = rng.uniform(1.0, 100.0);
+  }
+  return system;
+}
+
+RetainedQr factor_fresh(const System& system, std::size_t cols) {
+  RetainedQr qr(system.a.rows(), system.b);
+  for (std::size_t c = 0; c < cols; ++c) {
+    qr.append_column(matrix_column(system.a, c));
+  }
+  return qr;
+}
+
+/// Solution and every leave-one-out output of `qr` equal `reference`'s
+/// bit for bit.
+void expect_same_fit(RetainedQr& qr, RetainedQr& reference) {
+  ASSERT_EQ(qr.cols(), reference.cols());
+  ASSERT_EQ(qr.rows(), reference.rows());
+  qr.solve();
+  reference.solve();
+  for (std::size_t c = 0; c < qr.cols(); ++c) {
+    EXPECT_EQ(qr.solution()[c], reference.solution()[c]) << "column " << c;
+  }
+  std::vector<double> loo(qr.cols());
+  std::vector<double> expected(qr.cols());
+  for (std::size_t row = 0; row < qr.rows(); ++row) {
+    double press = 0.0;
+    double expected_press = 0.0;
+    const bool ok = qr.leave_one_out(row, loo, &press);
+    ASSERT_EQ(ok, reference.leave_one_out(row, expected, &expected_press));
+    if (!ok) continue;
+    EXPECT_EQ(press, expected_press) << "row " << row;
+    for (std::size_t c = 0; c < qr.cols(); ++c) {
+      EXPECT_EQ(loo[c], expected[c]) << "row " << row << ", column " << c;
+    }
+  }
+}
+
+TEST(RetainedQrTest, CopyAssignIntoWorkspaceThatHeldALargerSystem) {
+  const System big = random_system(30, 6, 3);
+  const System small = random_system(12, 3, 4);
+  RetainedQr workspace = factor_fresh(big, 6);
+  workspace.solve();  // a solved, wider, taller system
+
+  const RetainedQr prefix = factor_fresh(small, 2);
+  workspace = prefix;
+  workspace.append_column(matrix_column(small.a, 2));
+  RetainedQr reference = factor_fresh(small, 3);
+  expect_same_fit(workspace, reference);
+}
+
+TEST(RetainedQrTest, CopyAssignIntoWorkspaceThatHeldASmallerSystem) {
+  const System small = random_system(8, 2, 5);
+  const System big = random_system(25, 5, 6);
+  RetainedQr workspace = factor_fresh(small, 2);
+  workspace.solve();
+
+  const RetainedQr prefix = factor_fresh(big, 4);
+  workspace = prefix;
+  workspace.append_column(matrix_column(big.a, 4));
+  RetainedQr reference = factor_fresh(big, 5);
+  expect_same_fit(workspace, reference);
+
+  // Copying a solved factorization carries its solution and residuals.
+  RetainedQr solved = factor_fresh(big, 5);
+  solved.solve();
+  RetainedQr copy = factor_fresh(small, 1);
+  copy = solved;
+  std::vector<double> loo(5);
+  std::vector<double> expected(5);
+  ASSERT_TRUE(copy.leave_one_out(7, loo));
+  ASSERT_TRUE(solved.leave_one_out(7, expected));
+  EXPECT_EQ(loo, expected);
+}
+
+TEST(RetainedQrTest, GrowsPastItsInitialColumnCapacity) {
+  // Intercept + max_terms = 8: nine columns against an initial capacity of
+  // four, so the buffers regrow twice while the factorization is live. The
+  // reference is a workspace whose buffers already hold twelve columns, so
+  // it appends the same nine without regrowing.
+  const System system = random_system(20, 9, 7);
+  RetainedQr grown(system.a.rows(), system.b);
+  RetainedQr roomy = factor_fresh(random_system(30, 12, 10), 12);
+  roomy.reset(system.b);
+  for (std::size_t c = 0; c < 9; ++c) {
+    grown.append_column(matrix_column(system.a, c));
+    roomy.append_column(matrix_column(system.a, c));
+  }
+  ASSERT_FALSE(grown.rank_deficient());
+  const auto reference = least_squares(system.a, system.b);
+  expect_same_fit(grown, roomy);
+  for (std::size_t c = 0; c < 9; ++c) {
+    EXPECT_NEAR(grown.solution()[c], reference.solution[c],
+                1e-9 * std::max(1.0, std::fabs(reference.solution[c])));
+  }
+
+  // A workspace seeded from a 3-column prefix extends past its capacity too.
+  RetainedQr workspace;
+  workspace = factor_fresh(system, 3);
+  for (std::size_t c = 3; c < 9; ++c) {
+    workspace.append_column(matrix_column(system.a, c));
+  }
+  RetainedQr fresh = factor_fresh(system, 9);
+  expect_same_fit(workspace, fresh);
+}
+
+TEST(RetainedQrTest, ResetReusesAWorkspaceForANewSystem) {
+  const System first = random_system(15, 4, 8);
+  const System second = random_system(11, 3, 9);
+  RetainedQr workspace = factor_fresh(first, 4);
+  workspace.solve();
+  workspace.reset(second.b);
+  EXPECT_EQ(workspace.rows(), 11u);
+  EXPECT_EQ(workspace.cols(), 0u);
+  for (std::size_t c = 0; c < 3; ++c) {
+    workspace.append_column(matrix_column(second.a, c));
+  }
+  RetainedQr reference = factor_fresh(second, 3);
+  expect_same_fit(workspace, reference);
 }
 
 }  // namespace

@@ -142,6 +142,37 @@ TEST(OnlineServiceTest, IngestThroughServerRefitsAndHotSwaps) {
   server.stop();  // the shard calls into the service's hooks
 }
 
+TEST(OnlineServiceTest, FailedRefitCountsOnlyInOnlineStats) {
+  // The refitter shares the registry's single-flight gate, but the
+  // registry's fits_* counters are for query-triggered fits only.
+  serve::ShardedServer server(serve::ShardedServerOptions{.shards = 1});
+  serve::ModelRegistry& registry = server.registry(0);
+  OnlineServiceOptions options;
+  options.policy.refit_rows = 1;
+  OnlineService service(registry, options,
+                        [](const pipeline::CampaignData&) -> pipeline::FittedBundle {
+                          throw exareq::NumericError("too few rows to fit");
+                        });
+  server.set_online_hooks(0, service.hooks());
+  const std::string response = server.handle_line(ingest_line("TestApp", 1));
+  EXPECT_EQ(response.rfind("ok ingest accepted=1", 0), 0u) << response;
+  service.drain();
+
+  const serve::MetricsSnapshot metrics = server.metrics();
+  EXPECT_EQ(metrics.fits_started, 0u);
+  EXPECT_EQ(metrics.fits_completed, 0u);
+  EXPECT_EQ(metrics.fit_failures, 0u);
+  EXPECT_EQ(metrics.in_flight_fits, 0u);
+  EXPECT_EQ(service.stats().refit_failures, 1u);
+  const std::string report = server.status_report();
+  EXPECT_NE(report.find("refit failures"), std::string::npos) << report;
+  // The gate was released: a query-triggered fit can take it.
+  EXPECT_TRUE(registry.try_begin_fit("TestApp"));
+  registry.end_fit("TestApp", true);
+  EXPECT_EQ(registry.stats().fits_started, 1u);
+  server.stop();
+}
+
 TEST(OnlineServiceTest, StatusSumsOnlineStatsAcrossShards) {
   constexpr std::size_t kShards = 3;
   serve::ShardedServer server(serve::ShardedServerOptions{.shards = kShards});

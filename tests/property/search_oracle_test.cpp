@@ -121,9 +121,15 @@ TEST(PropertySearchOracleTest, RepeatedEngineSearchActuallyHitsTheCache) {
   (void)model::fit_with_pool_engine(engine, pool);
   const model::EngineStats warm = engine.stats();
   EXPECT_GT(warm.score_cache_hits, cold.score_cache_hits);
-  // The replay may re-run the handful of final full-data refits, but the
-  // search itself (hundreds of CV solves when cold) answers from the memo.
-  EXPECT_LT(warm.cv_solves - cold.cv_solves, cold.cv_solves / 10);
+  // A warm replay factors nothing new: every CV score of the search comes
+  // from the memo, so no prefix is extended and no fold is downdated
+  // again. Only the full-data coefficient fits of the final pruning pass
+  // run again — one per pruning round (at most one per selected term plus
+  // the round that prunes nothing) and the final fit.
+  EXPECT_EQ(warm.qr_extensions, cold.qr_extensions);
+  EXPECT_EQ(warm.downdates, cold.downdates);
+  EXPECT_LE(warm.cv_solves - cold.cv_solves, options.max_terms + 2);
+  EXPECT_GT(cold.qr_extensions, 0u);
 }
 
 TEST(PropertySearchOracleTest, InjectedStaleCacheBugIsCaught) {

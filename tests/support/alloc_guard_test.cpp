@@ -1,13 +1,16 @@
-// Allocation guard: the hot-path contract checks must not touch the heap.
+// Allocation guard: the hot paths must not touch the heap.
 //
 // This executable replaces the global operator new with a counting one and
 // asserts that 10^5 passing calls of each guarded operation allocate
 // nothing. A contract check that builds its message eagerly (a std::string
 // longer than the 15-byte small-string buffer) would allocate on every
-// call; measure runs hundreds of millions of them.
+// call; measure runs hundreds of millions of them. The fitter scores each
+// candidate hypothesis on a reused RetainedQr workspace, which must not
+// allocate once it has seen the largest system.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <new>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "instr/memory.hpp"
+#include "model/linalg.hpp"
 #include "instr/process.hpp"
 #include "serve/binary_protocol.hpp"
 #include "simmpi/runtime.hpp"
@@ -186,6 +190,44 @@ TEST(AllocGuardTest, BinaryReaderFieldReadsDoNotAllocate) {
   EXPECT_DOUBLE_EQ(values, 100.0 * 0.5 * (kRecords * (kRecords - 1) / 2));
   serve::binary::Reader empty{std::string_view()};
   EXPECT_THROW(empty.u32("record count"), InvalidArgument);
+}
+
+TEST(AllocGuardTest, RetainedQrWorkspaceReuseDoesNotAllocate) {
+  // One candidate extension as the fitter scores it: copy the shared
+  // prefix into the thread's workspace, append the candidate column,
+  // solve, and downdate every fold.
+  constexpr std::size_t kRows = 25;
+  std::vector<double> rhs(kRows);
+  std::vector<std::vector<double>> columns(4, std::vector<double>(kRows));
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const double x = 1.0 + static_cast<double>(r);
+    rhs[r] = 3.0 + 2.0 * x + 0.5 * x * x + 0.01 * static_cast<double>(r % 3);
+    columns[0][r] = 1.0;
+    columns[1][r] = x;
+    columns[2][r] = x * x;
+    columns[3][r] = std::sqrt(x);
+  }
+  model::RetainedQr prefix(kRows, rhs);
+  for (std::size_t c = 0; c < 3; ++c) prefix.append_column(columns[c]);
+  model::RetainedQr workspace;
+  std::vector<double> fold(4);
+  double total = 0.0;
+  const auto score_candidate = [&] {
+    workspace = prefix;
+    workspace.append_column(columns[3]);
+    workspace.solve();
+    for (std::size_t row = 0; row < kRows; ++row) {
+      double press = 0.0;
+      if (workspace.leave_one_out(row, fold, &press)) total += press;
+    }
+  };
+  score_candidate();  // warm-up: the workspace sizes its buffers once
+  EXPECT_EQ(allocations_during([&] {
+              for (int i = 0; i < kCalls / 100; ++i) score_candidate();
+            }),
+            0u);
+  EXPECT_TRUE(std::isfinite(total));
+  EXPECT_EQ(workspace.cols(), 4u);
 }
 
 }  // namespace
