@@ -38,23 +38,17 @@ double relative_error(double predicted, double observed, double scale) {
 /// each spanning every coordinate of the data set.
 using Columns = std::vector<const std::vector<double>*>;
 
-/// Design matrix of [1, basis_1, ..., basis_k] over the selected rows,
+/// Design matrix of [1, basis_1, ..., basis_k] over every measured point,
 /// assembled from cached columns.
-Matrix design_matrix(const Columns& columns, std::span<const std::size_t> rows) {
-  Matrix a(rows.size(), columns.size() + 1);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
+Matrix design_matrix(const Columns& columns, std::size_t rows) {
+  Matrix a(rows, columns.size() + 1);
+  for (std::size_t r = 0; r < rows; ++r) {
     a(r, 0) = 1.0;
     for (std::size_t c = 0; c < columns.size(); ++c) {
-      a(r, c + 1) = (*columns[c])[rows[r]];
+      a(r, c + 1) = (*columns[c])[r];
     }
   }
   return a;
-}
-
-std::vector<std::size_t> all_rows(std::size_t count) {
-  std::vector<std::size_t> rows(count);
-  for (std::size_t i = 0; i < count; ++i) rows[i] = i;
-  return rows;
 }
 
 struct CoefficientFit {
@@ -62,49 +56,6 @@ struct CoefficientFit {
   std::vector<double> coefficients;
   bool admissible = false;
 };
-
-/// `scale` is the full data set's observation scale: the near-zero floor of
-/// the relative-residual weights is anchored to the data set, not to the
-/// row subset, so a leave-one-out fold weighs each surviving row exactly
-/// like the full fit does (and like the batched downdate path, which shares
-/// one factorization across all folds, must).
-CoefficientFit fit_coefficients(std::span<const double> values,
-                                const Columns& columns,
-                                std::span<const std::size_t> rows,
-                                const FitOptions& options, double scale,
-                                std::atomic<std::size_t>& solves) {
-  CoefficientFit fit;
-  if (rows.size() < columns.size() + 1) return fit;  // underdetermined
-
-  const Matrix a = design_matrix(columns, rows);
-  std::vector<double> y(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) y[r] = values[rows[r]];
-
-  solves.fetch_add(1, std::memory_order_relaxed);
-  LeastSquaresResult solved;
-  if (options.relative_residuals) {
-    std::vector<double> weights(rows.size());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      weights[r] = 1.0 / std::max(std::fabs(y[r]), 1e-9 * scale);
-    }
-    solved = weighted_least_squares(a, y, weights);
-  } else {
-    solved = least_squares(a, y);
-  }
-  if (solved.rank_deficient) return fit;
-  for (double c : solved.solution) {
-    if (!std::isfinite(c)) return fit;
-  }
-  fit.constant = solved.solution[0];
-  fit.coefficients.assign(solved.solution.begin() + 1, solved.solution.end());
-  if (options.require_nonnegative) {
-    for (double c : fit.coefficients) {
-      if (c < 0.0) return fit;
-    }
-  }
-  fit.admissible = true;
-  return fit;
-}
 
 Model make_model(const MeasurementSet& data, const std::vector<Term>& basis,
                  const CoefficientFit& fit) {
@@ -223,13 +174,14 @@ struct FitEngine::Impl {
       score_memo;
 
   // Precomputed once per engine: the fitter's weighted view of the data.
-  // The batched path factors [w*1, w*col_1, ...] against w*y directly, so
+  // The CV engine factors [w*1, w*col_1, ...] against w*y directly, so
   // the row weights and weighted observations are shared by every
   // hypothesis the engine ever scores.
   double obs_scale = 1.0;
   std::vector<double> row_weights;       ///< empty when absolute residuals
   std::vector<double> intercept_column;  ///< w (or all-ones)
   std::vector<double> weighted_values;   ///< w*y (or y)
+  double rhs_scale = 0.0;  ///< max |w*y|, the sign rule's reference size
 
   Impl(const MeasurementSet& data_in, const FitOptions& options_in)
       : data(data_in), options(options_in), cache(data_in) {
@@ -249,6 +201,9 @@ struct FitEngine::Impl {
         intercept_column[r] = row_weights[r];
         weighted_values[r] *= row_weights[r];
       }
+    }
+    for (double v : weighted_values) {
+      rhs_scale = std::max(rhs_scale, std::fabs(v));
     }
   }
 
@@ -278,8 +233,8 @@ struct FitEngine::Impl {
     return columns;
   }
 
-  /// Coefficient-stability guard shared by both CV paths: every term must
-  /// be estimable consistently from any m-1 of the measurements.
+  /// Coefficient-stability guard: every term must be estimable
+  /// consistently from any m-1 of the measurements.
   /// `fold_coefficients` holds `terms` runs of `folds` values, term-major.
   bool coefficients_stable(std::span<const double> fold_coefficients,
                            std::size_t terms, std::size_t folds) const {
@@ -324,11 +279,67 @@ struct FitEngine::Impl {
     }
   }
 
+  /// Full-data weighted least-squares fit of a basis: the model's
+  /// coefficients. Inadmissible when underdetermined, rank-deficient or
+  /// non-finite, or (require_nonnegative) when a term coefficient is
+  /// negative beyond rounding.
+  CoefficientFit fit_coefficients(const Columns& columns) {
+    CoefficientFit fit;
+    const std::size_t m = data.size();
+    if (m < columns.size() + 1) return fit;  // underdetermined
+    const Matrix a = design_matrix(columns, m);
+    solves.fetch_add(1, std::memory_order_relaxed);
+    const LeastSquaresResult solved =
+        row_weights.empty()
+            ? least_squares(a, data.values())
+            : weighted_least_squares(a, data.values(), row_weights);
+    if (solved.rank_deficient) return fit;
+    for (double c : solved.solution) {
+      if (!std::isfinite(c)) return fit;
+    }
+    fit.constant = solved.solution[0];
+    fit.coefficients.assign(solved.solution.begin() + 1, solved.solution.end());
+    if (options.require_nonnegative) {
+      for (std::size_t c = 0; c < columns.size(); ++c) {
+        const double coefficient = fit.coefficients[c];
+        if (coefficient < 0.0 &&
+            !negligible_coefficient(coefficient, weighted_max(*columns[c]),
+                                    rhs_scale)) {
+          return fit;
+        }
+      }
+    }
+    fit.admissible = true;
+    return fit;
+  }
+
+  /// max_r |w_r * column_r|: the column's size in the weighted problem,
+  /// which is also the equilibration scale the factorization applies.
+  double weighted_max(const std::vector<double>& column) const {
+    double max_abs = 0.0;
+    for (std::size_t r = 0; r < column.size(); ++r) {
+      const double weight = row_weights.empty() ? 1.0 : row_weights[r];
+      max_abs = std::max(max_abs, std::fabs(column[r] * weight));
+    }
+    return max_abs;
+  }
+
+  /// Coefficient `c` of `qr` (0 is the intercept) under the shared sign
+  /// rule: zero when negligible at the factorization's column scale.
+  double rounded_coefficient(const RetainedQr& qr, std::size_t c,
+                             double coefficient) const {
+    return negligible_coefficient(coefficient, qr.column_scale(c), rhs_scale)
+               ? 0.0
+               : coefficient;
+  }
+
   /// LOO score from an already-solved factorization of a k-term hypothesis:
   /// admissibility of the full fit, then one rank-one downdate per fold
-  /// instead of a refit. Checks per fold mirror the scalar path exactly —
-  /// finiteness, non-negativity, the leverage guard standing in for
-  /// per-fold rank deficiency — so both paths reject the same hypotheses.
+  /// instead of a refit. A fold is rejected when non-finite, when a term
+  /// coefficient is negative beyond rounding (require_nonnegative), or when
+  /// the left-out row's leverage makes the downdated system singular.
+  /// Coefficients that are zero up to rounding count as exactly zero in the
+  /// sign and spread checks (`negligible_coefficient`).
   double cv_from_factored(const RetainedQr& qr, std::size_t k, Workspace& ws) {
     const std::size_t m = data.size();
     const std::span<const double> beta = qr.solution();
@@ -337,7 +348,7 @@ struct FitEngine::Impl {
     }
     if (options.require_nonnegative) {
       for (std::size_t c = 1; c <= k; ++c) {
-        if (beta[c] < 0.0) return kInfinity;
+        if (rounded_coefficient(qr, c, beta[c]) < 0.0) return kInfinity;
       }
     }
 
@@ -356,13 +367,11 @@ struct FitEngine::Impl {
       for (double c : ws.fold) {
         if (!std::isfinite(c)) return reject();
       }
-      if (options.require_nonnegative) {
-        for (std::size_t c = 1; c <= k; ++c) {
-          if (ws.fold[c] < 0.0) return reject();
-        }
-      }
       for (std::size_t c = 0; c < k; ++c) {
-        ws.fold_coefficients[c * m + left_out] = ws.fold[c + 1];
+        const double coefficient =
+            rounded_coefficient(qr, c + 1, ws.fold[c + 1]);
+        if (options.require_nonnegative && coefficient < 0.0) return reject();
+        ws.fold_coefficients[c * m + left_out] = coefficient;
       }
       // The fold's prediction error comes from the PRESS residual, not
       // from re-summing the downdated coefficients — the factored form is
@@ -378,9 +387,10 @@ struct FitEngine::Impl {
     return total / static_cast<double>(m);
   }
 
-  /// Batched CV: one retained QR for the whole hypothesis, m downdates.
-  double compute_cv_batched(std::span<const TermId> ids) {
+  /// CV of the hypothesis `ids`: one retained QR, m downdates.
+  double compute_cv(std::span<const TermId> ids) {
     const std::size_t m = data.size();
+    // Need at least one spare point beyond the coefficients to leave out.
     if (m < ids.size() + 2) return kInfinity;
     const Columns columns = columns_for(ids);
     solves.fetch_add(1, std::memory_order_relaxed);
@@ -391,68 +401,19 @@ struct FitEngine::Impl {
     return cv_from_factored(ws.trial, ids.size(), ws);
   }
 
-  /// The CV computation proper; `full_fit` lets refit() share its full-data
-  /// solve instead of repeating it (scalar mode only — the batched path
-  /// needs its own factorization for the downdates anyway).
-  double compute_cv(std::span<const TermId> ids,
-                    const CoefficientFit* full_fit) {
-    if (options.batched_cv) return compute_cv_batched(ids);
-    const std::size_t m = data.size();
-    const std::size_t k = ids.size();
-    // Need at least one spare point beyond the coefficients to leave out.
-    if (m < k + 2) return kInfinity;
-
-    const Columns columns = columns_for(ids);
-
-    // The full fit must be admissible (non-negative, full rank); otherwise
-    // the hypothesis is rejected outright.
-    CoefficientFit local;
-    if (full_fit == nullptr) {
-      local = fit_coefficients(data.values(), columns, all_rows(m), options,
-                               obs_scale, solves);
-      full_fit = &local;
-    }
-    if (!full_fit->admissible) return kInfinity;
-
-    double total = 0.0;
-    std::vector<std::size_t> subset;
-    subset.reserve(m - 1);
-    std::vector<double> fold_coefficients(k * m);
-    for (std::size_t left_out = 0; left_out < m; ++left_out) {
-      subset.clear();
-      for (std::size_t r = 0; r < m; ++r) {
-        if (r != left_out) subset.push_back(r);
-      }
-      const CoefficientFit fit = fit_coefficients(data.values(), columns,
-                                                  subset, options, obs_scale,
-                                                  solves);
-      if (!fit.admissible) return kInfinity;
-      double predicted = fit.constant;
-      for (std::size_t c = 0; c < k; ++c) {
-        predicted += fit.coefficients[c] * (*columns[c])[left_out];
-        fold_coefficients[c * m + left_out] = fit.coefficients[c];
-      }
-      total += relative_error(predicted, data.value(left_out), obs_scale);
-    }
-    if (!coefficients_stable(fold_coefficients, k, m)) return kInfinity;
-    return total / static_cast<double>(m);
-  }
-
-  /// CV scores this far below the convergence tolerance measure rounding
-  /// noise, not model quality: their exact digits depend on the CV
-  /// algorithm (per-fold refits vs rank-one downdates). Collapsing them to
-  /// exactly 0 makes every numerically-exact hypothesis an exact tie, so
-  /// selection among them falls to the deterministic tie-breaks
-  /// (complexity, pool order) and both CV paths pick the same model.
-  static constexpr double kNumericallyZero = 1e-8;
-
+  /// CV scores below kRoundingFloor, far under the convergence tolerance,
+  /// measure rounding noise, not model quality: their exact digits depend
+  /// on column order and on the CV algorithm (rank-one downdates here,
+  /// per-fold refits in testkit's reference). Collapsing them to exactly 0
+  /// makes every numerically-exact hypothesis an exact tie, so selection
+  /// among them falls to the deterministic tie-breaks (complexity, pool
+  /// order).
   double selection_score(double score) const {
-    return score < kNumericallyZero ? 0.0 : score;
+    return score < kRoundingFloor ? 0.0 : score;
   }
 
   /// Memoized CV score of the hypothesis `ids` (in column order).
-  double cv_score(std::span<const TermId> ids,
-                  const CoefficientFit* full_fit = nullptr) {
+  double cv_score(std::span<const TermId> ids) {
     hypotheses.fetch_add(1, std::memory_order_relaxed);
     {
       const std::lock_guard<std::mutex> lock(memo_mutex);
@@ -462,7 +423,7 @@ struct FitEngine::Impl {
         return it->second;
       }
     }
-    const double score = selection_score(compute_cv(ids, full_fit));
+    const double score = selection_score(compute_cv(ids));
     {
       const std::lock_guard<std::mutex> lock(memo_mutex);
       score_memo.emplace(std::vector<TermId>(ids.begin(), ids.end()), score);
@@ -509,19 +470,6 @@ struct FitEngine::Impl {
     }
   }
 
-  /// Scalar mode's block scoring: every trial through cv_score, in
-  /// parallel. Trial j's id sequence comes from `make_key(j, key)`.
-  template <typename MakeKey>
-  std::vector<double> score_each(std::size_t count, const MakeKey& make_key) {
-    std::vector<double> scores(count, kInfinity);
-    for_each_index(count, [&](std::size_t j) {
-      std::vector<TermId> trial;
-      make_key(j, trial);
-      scores[j] = cv_score(trial);
-    });
-    return scores;
-  }
-
   /// Factors [w*1, w*prefix...] once, then scores prefix + candidates[i] +
   /// suffix for every i on the pool: each task copies the prefix into its
   /// own thread's workspace and appends its candidate and the suffix — the
@@ -559,8 +507,6 @@ struct FitEngine::Impl {
       key.assign(selected.begin(), selected.end());
       key.push_back(extensions[j]);
     };
-    if (!options.batched_cv) return score_each(extensions.size(), make_key);
-
     std::vector<double> scores(extensions.size(), kInfinity);
     const std::vector<std::size_t> missing =
         memo_lookup_block(scores, make_key);
@@ -582,7 +528,7 @@ struct FitEngine::Impl {
   }
 
   /// Scores the replacement move selected[position] := replacements[j] for
-  /// every j. Batched, the prefix [w*1, w*s_0 ... w*s_{position-1}] is
+  /// every j. The prefix [w*1, w*s_0 ... w*s_{position-1}] is
   /// factored once and each trial appends its candidate and then the
   /// suffix s_{position+1} ....
   std::vector<double> score_replacements(std::span<const TermId> selected,
@@ -592,8 +538,6 @@ struct FitEngine::Impl {
       key.assign(selected.begin(), selected.end());
       key[position] = replacements[j];
     };
-    if (!options.batched_cv) return score_each(replacements.size(), make_key);
-
     std::vector<double> scores(replacements.size(), kInfinity);
     const std::vector<std::size_t> missing =
         memo_lookup_block(scores, make_key);
@@ -648,12 +592,8 @@ std::vector<double> FitEngine::score_extensions(
 FitResult FitEngine::refit(const std::vector<Term>& basis) {
   exareq::require(!impl_->data.empty(), "refit_hypothesis: empty measurement set");
   const auto started = std::chrono::steady_clock::now();
-  const auto rows = all_rows(impl_->data.size());
   const std::vector<TermId> ids = impl_->intern_all(basis);
-  const Columns columns = impl_->columns_for(ids);
-  const CoefficientFit fit = fit_coefficients(impl_->data.values(), columns,
-                                              rows, impl_->options,
-                                              impl_->obs_scale, impl_->solves);
+  const CoefficientFit fit = impl_->fit_coefficients(impl_->columns_for(ids));
   if (!fit.admissible) {
     throw exareq::NumericError(
         "refit_hypothesis: hypothesis inadmissible for this data "
@@ -661,8 +601,8 @@ FitResult FitEngine::refit(const std::vector<Term>& basis) {
   }
   FitResult result;
   result.model = make_model(impl_->data, basis, fit);
-  result.quality = evaluate_quality(impl_->data, result.model,
-                                    impl_->cv_score(ids, &fit));
+  result.quality =
+      evaluate_quality(impl_->data, result.model, impl_->cv_score(ids));
   result.stats = stats();
   result.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
@@ -970,13 +910,11 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
 
   // Negligible-term pruning: refit, measure each term's largest relative
   // contribution over the data, and drop terms below the threshold.
-  const auto rows = all_rows(data.size());
   for (bool pruned = true; pruned && !best.selected.empty();) {
     pruned = false;
     const std::vector<Term> selected = best.terms(pool);
     const CoefficientFit trial_fit =
-        fit_coefficients(data.values(), engine.columns_for(best.ids(pool)),
-                         rows, options, engine.obs_scale, engine.solves);
+        engine.fit_coefficients(engine.columns_for(best.ids(pool)));
     if (!trial_fit.admissible) break;
     const Model trial_model = make_model(data, selected, trial_fit);
     for (std::size_t t = 0; t < selected.size(); ++t) {
@@ -1008,8 +946,7 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
 
   std::vector<Term> selected = best.terms(pool);
   CoefficientFit fit =
-      fit_coefficients(data.values(), engine.columns_for(best.ids(pool)), rows,
-                       options, engine.obs_scale, engine.solves);
+      engine.fit_coefficients(engine.columns_for(best.ids(pool)));
   if (!fit.admissible) {
     // Degenerate data (fewer points than coefficients was excluded by the
     // CV admissibility test, so this only happens for the constant case on
@@ -1077,10 +1014,7 @@ FitResult fit_with_pool(const MeasurementSet& data, const std::vector<Term>& poo
   return result;
 }
 
-FitResult fit_single_parameter(const MeasurementSet& data, const SearchSpace& space,
-                               const FitOptions& options) {
-  exareq::require(data.parameter_count() == 1,
-                  "fit_single_parameter: data must have exactly one parameter");
+std::vector<Term> single_factor_pool(const SearchSpace& space) {
   std::vector<Term> pool;
   for (const Factor& factor : space.factors_for(0)) {
     Term term;
@@ -1088,7 +1022,14 @@ FitResult fit_single_parameter(const MeasurementSet& data, const SearchSpace& sp
     term.factors = {factor};
     pool.push_back(std::move(term));
   }
-  return fit_with_pool(data, pool, options);
+  return pool;
+}
+
+FitResult fit_single_parameter(const MeasurementSet& data, const SearchSpace& space,
+                               const FitOptions& options) {
+  exareq::require(data.parameter_count() == 1,
+                  "fit_single_parameter: data must have exactly one parameter");
+  return fit_with_pool(data, single_factor_pool(space), options);
 }
 
 }  // namespace exareq::model

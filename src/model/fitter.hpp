@@ -9,6 +9,7 @@
 // simplest wins, which keeps models interpretable.
 #pragma once
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -22,6 +23,28 @@ class ThreadPool;
 }
 
 namespace exareq::model {
+
+/// Relative size below which the fitter treats a quantity as rounding
+/// noise: a CV score (a mean relative error) below it reads as exactly 0,
+/// and so does a term coefficient whose largest relative contribution to
+/// the weighted fit is below it.
+inline constexpr double kRoundingFloor = 1e-8;
+
+/// The sign rule every CV and coefficient check shares: a fitted term
+/// coefficient counts as zero when its largest contribution to the weighted
+/// fit, |coefficient| * max_r |w_r * column_r| (`column_scale`), is at most
+/// kRoundingFloor of the weighted observations' size max_r |w_r * y_r|
+/// (`rhs_scale`). Such a coefficient is rounding noise around an exact zero
+/// (a redundant term of an exact fit), so its sign says nothing. The floor
+/// must cover the rounding of both CV routes: a per-fold refit leaves such
+/// coefficients up to ~1e-10 of the observations on planted exact data, so
+/// the solvers' 1e-12 rank tolerance would let the routes disagree. Used by
+/// the CV engine for the full fit and every fold, by the full-data
+/// coefficient fit, and by testkit's per-fold reference scorer.
+inline bool negligible_coefficient(double coefficient, double column_scale,
+                                   double rhs_scale) {
+  return std::fabs(coefficient) * column_scale <= kRoundingFloor * rhs_scale;
+}
 
 /// Tuning knobs of the fitting procedure.
 struct FitOptions {
@@ -38,13 +61,16 @@ struct FitOptions {
   /// terms would chase sub-noise residuals. The default corresponds to a
   /// 0.05% relative error, well below the reproducibility of real hardware
   /// counters. Scores below 1e-8 (far under this bound) are reported as
-  /// exactly 0: their digits measure rounding noise, and collapsing them
-  /// makes selection among numerically-exact hypotheses a deterministic
-  /// tie-break on complexity instead of a coin flip on last-ulp CV
-  /// differences between the batched and scalar engines.
+  /// exactly 0: their digits measure rounding noise, and they differ
+  /// between exact hypotheses only by the column order the engine happened
+  /// to factor them in. Collapsing them makes selection among
+  /// numerically-exact hypotheses a deterministic tie-break on complexity
+  /// within the one engine, instead of a coin flip on last-ulp differences.
   double score_tolerance = 5e-4;
   /// Reject hypotheses whose fitted term coefficients are negative;
-  /// requirement metrics are counts and cannot shrink below zero.
+  /// requirement metrics are counts and cannot shrink below zero. A
+  /// coefficient that is zero up to rounding is not negative
+  /// (`negligible_coefficient`).
   bool require_nonnegative = true;
   /// Minimize relative rather than absolute residuals. Relative residuals
   /// make small-scale configurations count as much as large ones, which is
@@ -66,18 +92,9 @@ struct FitOptions {
   /// spread (stddev / |mean|) across the leave-one-out folds are rejected:
   /// a genuine requirement term is estimable from any subset of the
   /// measurements, while a noise-chasing term's coefficient is dictated by
-  /// whichever points happen to be in the fold.
+  /// whichever points happen to be in the fold. Fold coefficients that are
+  /// zero up to rounding count as exactly zero here.
   double max_coefficient_spread = 0.5;
-  /// Score hypotheses on the batched engine: one retained QR per
-  /// factorization with every leave-one-out fold obtained by a rank-one
-  /// downdate, and candidate generations extending a shared selected-prefix
-  /// factorization — O(candidates) solves instead of
-  /// O(candidates x folds). False falls back to the per-fold scalar refits
-  /// (the differential-oracle reference and the bench baseline). Both modes
-  /// select the same models; scores agree to ~1e-12 relative (the batched
-  /// path solves the same equations along an algebraically equivalent
-  /// route, so only last-ulp rounding differs).
-  bool batched_cv = true;
   /// Number of first-term candidates the search branches on. PMNF grids
   /// contain near-degenerate shapes (x^1.125 vs x * log2(x) over narrow
   /// ranges); a purely greedy first pick can trap the search in a mixture
@@ -97,21 +114,21 @@ struct FitOptions {
 struct EngineStats {
   std::size_t hypotheses_scored = 0;  ///< CV scorings requested (incl. memo hits)
   std::size_t score_cache_hits = 0;   ///< served from the hypothesis-score memo
-  /// Least-squares factorizations built from scratch: in batched mode one
-  /// per cv_score memo miss, one shared prefix per score_extensions
-  /// generation and one per replacement-move position of the search (each
-  /// only when at least one of its candidates missed the memo), plus the
-  /// full-data coefficient solves; in scalar mode every full and per-fold
-  /// solve. Candidates that extend a retained prefix are not solves — they
-  /// cost a few Householder columns, not a refactorization — and are
-  /// counted in qr_extensions instead.
+  /// Least-squares factorizations built from scratch: one per cv_score
+  /// memo miss, one shared prefix per score_extensions generation and one
+  /// per replacement-move position of the search (each only when at least
+  /// one of its candidates missed the memo), plus the full-data coefficient
+  /// solves. Leave-one-out folds are never solves (they are downdates), and
+  /// candidates that extend a retained prefix are not either — they cost a
+  /// few Householder columns, not a refactorization — and are counted in
+  /// qr_extensions instead.
   std::size_t cv_solves = 0;
   /// Candidate factorizations built by copying a retained prefix and
-  /// appending columns (batched mode): one per extension candidate (its one
-  /// column) and one per replacement trial (its candidate, then the
-  /// selected terms after the replaced position).
+  /// appending columns: one per extension candidate (its one column) and
+  /// one per replacement trial (its candidate, then the selected terms
+  /// after the replaced position).
   std::size_t qr_extensions = 0;
-  std::size_t downdates = 0;          ///< rank-one LOO downdates (batched mode)
+  std::size_t downdates = 0;          ///< rank-one LOO downdates, one per fold
   std::size_t basis_column_hits = 0;  ///< basis columns served from the cache
   std::size_t basis_columns_built = 0;  ///< distinct basis columns evaluated
   double wall_seconds = 0.0;          ///< wall time of the fit
@@ -166,17 +183,16 @@ class FitEngine {
 
   /// Scores one hypothesis generation as a block: the CV score of
   /// `selected` + extensions[j] for every j, in extension order (+inf for
-  /// inadmissible candidates). In batched mode the shared selected-prefix
-  /// is QR-factored once and each candidate appends a single column to a
-  /// copy — numerically identical to scoring each trial through cv_score,
-  /// which is the per-candidate fallback in scalar mode. Memoized and
+  /// inadmissible candidates). The shared selected-prefix is QR-factored
+  /// once and each candidate appends a single column to a copy —
+  /// bit-identical to scoring each trial through cv_score. Memoized and
   /// thread-safe like cv_score; candidates run on the engine's pool.
   std::vector<double> score_extensions(const std::vector<Term>& selected,
                                        const std::vector<Term>& extensions);
 
-  /// Full-data refit of a fixed basis; the full-fit admissibility check is
-  /// shared with the CV scoring so the solve counters do not double-count.
-  /// Throws NumericError when the basis is inadmissible. Fills
+  /// Full-data refit of a fixed basis plus its CV score: one coefficient
+  /// solve and one CV factorization. Throws NumericError when the basis is
+  /// inadmissible. Fills
   /// stats.wall_seconds with this call's duration.
   FitResult refit(const std::vector<Term>& basis);
 
@@ -203,6 +219,10 @@ FitResult fit_with_pool(const MeasurementSet& data, const std::vector<Term>& poo
 /// Same search, but on a caller-provided engine so several fits over the
 /// same data can share its caches and counters.
 FitResult fit_with_pool_engine(FitEngine& engine, const std::vector<Term>& pool);
+
+/// One single-factor term (unit coefficient) per factor of `space` for
+/// parameter 0: the pool fit_single_parameter searches.
+std::vector<Term> single_factor_pool(const SearchSpace& space);
 
 /// Single-parameter fit over the full search space (paper Eq. 1).
 FitResult fit_single_parameter(const MeasurementSet& data,

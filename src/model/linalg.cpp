@@ -321,8 +321,8 @@ bool RetainedQr::leave_one_out(std::size_t row, std::span<double> out,
   double leverage = 0.0;
   for (std::size_t i = 0; i < n; ++i) leverage += u[i] * u[i];
   // Leverage ~ 1 means this row alone pins a direction of the fit; without
-  // it the system drops rank — the batched analogue of the scalar path's
-  // per-fold rank deficiency.
+  // it the system drops rank — the analogue of a refit's per-fold rank
+  // deficiency.
   if (1.0 - leverage < 1e-12) return false;
 
   for (std::size_t ki = n; ki-- > 0;) {

@@ -100,6 +100,9 @@ class RetainedQr {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool rank_deficient() const { return rank_deficient_; }
+  /// Equilibration scale of column `c`: its max-norm as appended (1 for an
+  /// all-zero column).
+  double column_scale(std::size_t c) const { return column_scale_[c]; }
 
   /// Solves R x = Q^T b and caches the residuals; call after the last
   /// append. Requires a full-rank factorization with cols() >= 1.
@@ -114,7 +117,7 @@ class RetainedQr {
   /// kStackColumns columns. Returns false when the downdated system
   /// is numerically singular: the row's leverage is within tolerance of 1,
   /// so removing it would drop the rank (the analogue of the per-fold
-  /// rank-deficiency the scalar path detects). Requires solve() first.
+  /// rank deficiency a refit would detect). Requires solve() first.
   ///
   /// When `loo_residual` is non-null it receives the left-out row's
   /// prediction error under the downdated fit, b_row - a_row . x_loo, via

@@ -13,7 +13,11 @@ ModelGenerator::ModelGenerator(GeneratorOptions options)
 FitResult ModelGenerator::generate(const MeasurementSet& data,
                                    const MetricTraits& traits) const {
   data.validate_for_modeling(options_.min_distinct_values);
+  return fit_multi_parameter(data, multi_parameter_options(data, traits));
+}
 
+MultiParamOptions ModelGenerator::multi_parameter_options(
+    const MeasurementSet& data, const MetricTraits& traits) const {
   MultiParamOptions multi;
   multi.space = options_.space;
   multi.fit = options_.fit;
@@ -26,7 +30,7 @@ FitResult ModelGenerator::generate(const MeasurementSet& data,
     }
     multi.allowed_collectives = traits.collectives;
   }
-  return fit_multi_parameter(data, multi);
+  return multi;
 }
 
 }  // namespace exareq::model

@@ -45,6 +45,12 @@ class ModelGenerator {
   FitResult generate(const MeasurementSet& data,
                      const MetricTraits& traits = {}) const;
 
+  /// The multi-parameter options `generate` fits `data` with: the
+  /// generator's space and fit options, with collectives on the
+  /// process-count parameter for communication metrics.
+  MultiParamOptions multi_parameter_options(
+      const MeasurementSet& data, const MetricTraits& traits = {}) const;
+
  private:
   GeneratorOptions options_;
 };

@@ -120,14 +120,8 @@ std::vector<Factor> rank_candidate_factors(const MeasurementSet& slice,
   // component factors, so merge them in. The fit reuses the slice engine,
   // so every single-factor hypothesis it scores is a memo hit.
   if (slice.size() >= 4) {
-    std::vector<Term> slice_pool;
-    for (const Factor& factor : space.factors_for(0)) {
-      Term term;
-      term.coefficient = 1.0;
-      term.factors = {factor};
-      slice_pool.push_back(std::move(term));
-    }
-    const FitResult slice_fit = fit_with_pool_engine(engine, slice_pool);
+    const FitResult slice_fit =
+        fit_with_pool_engine(engine, single_factor_pool(space));
     for (const Term& term : slice_fit.model.terms()) {
       for (const Factor& factor : term.factors) {
         if (!contains_factor(ranked, factor)) ranked.push_back(factor);
@@ -200,13 +194,9 @@ std::vector<Term> build_joint_pool(
   return pool;
 }
 
-FitResult fit_multi_parameter(const MeasurementSet& data,
-                              const MultiParamOptions& options) {
-  exareq::require(!data.empty(), "fit_multi_parameter: empty measurement set");
-  const auto started = std::chrono::steady_clock::now();
-  obs::ScopedSpan span("fit_multi_parameter", "model");
-  span.arg("parameters", static_cast<double>(data.parameter_count()));
-  span.arg("points", static_cast<double>(data.size()));
+std::vector<Term> multi_parameter_pool(const MeasurementSet& data,
+                                       const MultiParamOptions& options,
+                                       EngineStats* stats_out) {
   const std::size_t m = data.parameter_count();
   if (m == 1) {
     SearchSpace space = options.space;
@@ -214,19 +204,28 @@ FitResult fit_multi_parameter(const MeasurementSet& data,
         std::find(options.collective_parameters.begin(),
                   options.collective_parameters.end(),
                   std::size_t{0}) != options.collective_parameters.end();
-    return fit_single_parameter(data, space, options.fit);
+    return single_factor_pool(space);
   }
-
-  EngineStats ranking_stats;
   std::vector<std::vector<Factor>> factors_per_parameter(m);
   for (std::size_t l = 0; l < m; ++l) {
     const Coordinate anchor = best_anchor(data, l);
     const MeasurementSet slice = data.slice(l, anchor);
     factors_per_parameter[l] =
-        rank_candidate_factors(slice, l, options, &ranking_stats);
+        rank_candidate_factors(slice, l, options, stats_out);
   }
+  return build_joint_pool(factors_per_parameter);
+}
 
-  const std::vector<Term> pool = build_joint_pool(factors_per_parameter);
+FitResult fit_multi_parameter(const MeasurementSet& data,
+                              const MultiParamOptions& options) {
+  exareq::require(!data.empty(), "fit_multi_parameter: empty measurement set");
+  const auto started = std::chrono::steady_clock::now();
+  obs::ScopedSpan span("fit_multi_parameter", "model");
+  span.arg("parameters", static_cast<double>(data.parameter_count()));
+  span.arg("points", static_cast<double>(data.size()));
+  EngineStats ranking_stats;
+  const std::vector<Term> pool =
+      multi_parameter_pool(data, options, &ranking_stats);
   FitResult result = fit_with_pool(data, pool, options.fit);
   result.stats += ranking_stats;
   result.stats.wall_seconds =

@@ -52,8 +52,18 @@ std::vector<Factor> rank_candidate_factors(const MeasurementSet& slice,
 std::vector<Term> build_joint_pool(
     const std::vector<std::vector<Factor>>& factors_per_parameter);
 
-/// Fits a model of any parameter count; delegates to the single-parameter
-/// fitter when data has one parameter.
+/// The term pool fit_multi_parameter searches: the search space's factors
+/// of the one parameter (collectives included when it is a collective
+/// parameter), or else the joint pool of every parameter's ranked factors,
+/// each ranked on its slice through the anchor with the most points. When
+/// `stats_out` is non-null the ranking engines' counters are accumulated
+/// into it.
+std::vector<Term> multi_parameter_pool(const MeasurementSet& data,
+                                       const MultiParamOptions& options,
+                                       EngineStats* stats_out = nullptr);
+
+/// Fits a model of any parameter count: the fitter's search over
+/// multi_parameter_pool.
 FitResult fit_multi_parameter(const MeasurementSet& data,
                               const MultiParamOptions& options = {});
 

@@ -465,6 +465,28 @@ const model::FitResult& RequirementModels::result(Metric metric) const {
   throw exareq::InvalidArgument("RequirementModels::result: unknown metric");
 }
 
+model::MetricTraits metric_traits(Metric metric) {
+  model::MetricTraits traits;
+  traits.is_communication = metric == Metric::kBytesSentReceived;
+  return traits;
+}
+
+model::MetricTraits channel_metric_traits(const ChannelMeasurement& channel) {
+  model::MetricTraits traits;
+  traits.is_communication = true;
+  traits.collectives.clear();
+  if (channel.uses_allreduce) {
+    traits.collectives.push_back(model::SpecialFn::kAllreduce);
+  }
+  if (channel.uses_bcast) {
+    traits.collectives.push_back(model::SpecialFn::kBcast);
+  }
+  if (channel.uses_alltoall) {
+    traits.collectives.push_back(model::SpecialFn::kAlltoall);
+  }
+  return traits;
+}
+
 RequirementModels model_requirements(const CampaignData& data,
                                      const model::GeneratorOptions& options) {
   exareq::require(!data.measurements.empty(),
@@ -472,10 +494,6 @@ RequirementModels model_requirements(const CampaignData& data,
   const model::ModelGenerator generator(options);
   RequirementModels models;
   models.app_name = data.app_name;
-
-  model::MetricTraits plain;
-  model::MetricTraits communication;
-  communication.is_communication = true;
 
   // Every fit writes into its own slot, so the per-metric and per-channel
   // fits can run concurrently; nested engine parallelism runs inline on the
@@ -485,52 +503,27 @@ RequirementModels model_requirements(const CampaignData& data,
   models.comm_channels.resize(channel_names.size());
 
   std::vector<std::function<void()>> fits;
-  fits.push_back([&] {
-    models.bytes_used =
-        generator.generate(data.metric_data(Metric::kBytesUsed), plain);
-  });
-  fits.push_back([&] {
-    models.flops = generator.generate(data.metric_data(Metric::kFlops), plain);
-  });
-  fits.push_back([&] {
-    models.bytes_sent_received = generator.generate(
-        data.metric_data(Metric::kBytesSentReceived), communication);
-  });
-  fits.push_back([&] {
-    models.loads_stores =
-        generator.generate(data.metric_data(Metric::kLoadsStores), plain);
-  });
-  fits.push_back([&] {
-    models.stack_distance =
-        generator.generate(data.metric_data(Metric::kStackDistance), plain);
-  });
-  fits.push_back([&] {
-    models.io_bytes =
-        generator.generate(data.metric_data(Metric::kIoBytes), plain);
-  });
-  fits.push_back([&] {
-    models.energy_proxy =
-        generator.generate(data.metric_data(Metric::kEnergyProxy), plain);
-  });
+  const auto add_metric = [&](Metric metric, model::FitResult* slot) {
+    fits.push_back([&, metric, slot] {
+      *slot =
+          generator.generate(data.metric_data(metric), metric_traits(metric));
+    });
+  };
+  add_metric(Metric::kBytesUsed, &models.bytes_used);
+  add_metric(Metric::kFlops, &models.flops);
+  add_metric(Metric::kBytesSentReceived, &models.bytes_sent_received);
+  add_metric(Metric::kLoadsStores, &models.loads_stores);
+  add_metric(Metric::kStackDistance, &models.stack_distance);
+  add_metric(Metric::kIoBytes, &models.io_bytes);
+  add_metric(Metric::kEnergyProxy, &models.energy_proxy);
   for (std::size_t i = 0; i < channel_names.size(); ++i) {
     fits.push_back([&, i] {
       const std::string& name = channel_names[i];
       ChannelModel channel;
       channel.name = name;
       channel.traits = data.channel_traits(name);
-      model::MetricTraits traits;
-      traits.is_communication = true;
-      traits.collectives.clear();
-      if (channel.traits.uses_allreduce) {
-        traits.collectives.push_back(model::SpecialFn::kAllreduce);
-      }
-      if (channel.traits.uses_bcast) {
-        traits.collectives.push_back(model::SpecialFn::kBcast);
-      }
-      if (channel.traits.uses_alltoall) {
-        traits.collectives.push_back(model::SpecialFn::kAlltoall);
-      }
-      channel.fit = generator.generate(data.channel_data(name), traits);
+      channel.fit = generator.generate(data.channel_data(name),
+                                       channel_metric_traits(channel.traits));
       models.comm_channels[i] = std::move(channel);
     });
   }

@@ -118,6 +118,13 @@ struct RequirementModels {
   model::EngineStats engine_stats() const;
 };
 
+/// Hypothesis-space hints of one metric's fit: the whole-program
+/// communication total searches every collective.
+model::MetricTraits metric_traits(Metric metric);
+
+/// Hints of one communication call path's fit: the collectives it used.
+model::MetricTraits channel_metric_traits(const ChannelMeasurement& channel);
+
 /// Fits all seven metrics. Communication models search over the collective
 /// basis functions (Allreduce/Bcast/Alltoall of p).
 RequirementModels model_requirements(

@@ -7,8 +7,10 @@
 #include <tuple>
 #include <vector>
 
+#include "model/multiparam.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "testkit/reference_fit.hpp"
 
 namespace exareq::model {
 namespace {
@@ -284,27 +286,9 @@ TEST(FitterTest, EngineStatsCountTheSearch) {
   EXPECT_LE(rate, 1.0);
 }
 
-TEST(FitterTest, EngineRefitSolvesOncePerFoldPlusFull) {
-  // Scalar mode pins the historical cost model: refit shares the full-fit
-  // admissibility check with the CV scoring — one full solve plus one per
-  // leave-one-out fold, never a double-solve.
-  const auto data =
-      sample_1d(kProcessCounts, [](double v) { return 4.0 * v + 100.0; });
-  Term linear;
-  linear.coefficient = 1.0;
-  linear.factors = {pmnf_factor(0, 1.0, 0.0)};
-  FitOptions scalar;
-  scalar.batched_cv = false;
-  FitEngine engine(data, scalar);
-  const FitResult result = engine.refit({linear});
-  EXPECT_NEAR(result.model.terms()[0].coefficient, 4.0, 1e-9);
-  EXPECT_EQ(engine.stats().cv_solves, data.size() + 1);
-  EXPECT_EQ(engine.stats().downdates, 0u);
-}
-
 TEST(FitterTest, BatchedRefitSolvesOncePlusDowndates) {
-  // Batched mode replaces the per-fold refits with rank-one downdates: one
-  // scalar coefficient solve, one retained-QR factorization, m downdates.
+  // The engine replaces per-fold refits with rank-one downdates: one
+  // coefficient solve, one retained-QR factorization, m downdates.
   const auto data =
       sample_1d(kProcessCounts, [](double v) { return 4.0 * v + 100.0; });
   Term linear;
@@ -320,9 +304,10 @@ TEST(FitterTest, BatchedRefitSolvesOncePlusDowndates) {
 }
 
 TEST(FitterTest, BatchedAndScalarScoringAgree) {
-  // The two CV engines solve the same least-squares problems along
-  // different algebraic routes; scores agree to ~1e-12 relative and the
-  // admissibility verdict (finite vs +inf) is identical.
+  // The engine's downdates and testkit's per-fold scalar refits solve the
+  // same least-squares problems along different algebraic routes; scores
+  // agree to ~1e-12 relative and the admissibility verdict (finite vs
+  // +inf) is identical.
   const std::vector<double> wide{4.0,   8.0,   16.0,  32.0,  64.0,
                                  128.0, 256.0, 512.0, 1024.0};
   const auto data = sample_1d(
@@ -334,20 +319,76 @@ TEST(FitterTest, BatchedAndScalarScoringAgree) {
     t.factors = {pmnf_factor(0, poly, log)};
     return t;
   };
-  FitOptions scalar;
-  scalar.batched_cv = false;
   for (const std::vector<Term>& basis :
        {std::vector<Term>{}, std::vector<Term>{term(1.0, 1.0)},
         std::vector<Term>{term(1.0, 0.0)},
         std::vector<Term>{term(1.0, 1.0), term(1.0, 0.0)},
         std::vector<Term>{term(0.0, 2.0), term(3.0, 0.0)}}) {
     const double batched = cross_validation_score(data, basis);
-    const double reference = cross_validation_score(data, basis, scalar);
+    const double reference =
+        testkit::reference_cv_score(data, basis, FitOptions{}).score;
     if (!std::isfinite(reference)) {
       EXPECT_FALSE(std::isfinite(batched));
       continue;
     }
     EXPECT_NEAR(batched, reference, 1e-12 * std::max(1.0, reference));
+  }
+}
+
+TEST(FitterTest, RedundantTermOfAnExactFitIsAdmissible) {
+  // An exact two-term requirement plus a redundant third term: the third
+  // coefficient is zero up to rounding, so its sign in the full fit or in
+  // any fold is a coin flip (-1.7e-16 on CheckpointIO's communication
+  // total). The shared sign rule counts it as zero, so the hypothesis is
+  // admissible and exact in production and in the reference alike.
+  const Term allreduce{1.0, {special_factor(0, SpecialFn::kAllreduce)}};
+  const Term linear_n{1.0, {pmnf_factor(1, 1.0, 0.0)}};
+  MeasurementSet data({"p", "n"});
+  for (double p : {4.0, 8.0, 16.0, 32.0, 64.0}) {
+    for (double n : {64.0, 128.0, 256.0, 512.0, 1024.0}) {
+      data.add2(p, n,
+                512.0 * allreduce.evaluate_basis(std::vector<double>{p, n}) +
+                    8.0 * n);
+    }
+  }
+  for (const Term& redundant :
+       {Term{1.0, {pmnf_factor(0, 1.0, 0.0)}},
+        Term{1.0, {pmnf_factor(0, 1.0, 1.0)}},
+        Term{1.0, {pmnf_factor(0, 0.125, 0.0)}},
+        Term{1.0, {pmnf_factor(0, 1.0, 0.0), pmnf_factor(1, 1.0, 0.0)}},
+        Term{1.0, {pmnf_factor(1, 0.5, 0.0)}}}) {
+    const std::vector<Term> basis{allreduce, linear_n, redundant};
+    const double production = cross_validation_score(data, basis);
+    EXPECT_EQ(production, 0.0) << redundant.to_string(data.parameter_names());
+    EXPECT_EQ(testkit::diff_scores(
+                  redundant.to_string(data.parameter_names()), production,
+                  testkit::reference_cv_score(data, basis, FitOptions{})),
+              "");
+  }
+}
+
+TEST(FitterTest, ExactPlantedPairIsSelectedWithoutARedundantTerm) {
+  // The search side of the sign rule, on the planted case of the property
+  // oracle's seed 2 (noise 0). Every three-term hypothesis holding the
+  // planted pair plus a redundant term is exact, but only the sign rule
+  // admits it; with those rejected, the search settled on an inexact model
+  // (CV 0.088) instead of the pair.
+  const Term cubic{3.5552190815709408, {pmnf_factor(0, 3.0, 2.0)}};
+  const Term square{4965.8029473099878, {pmnf_factor(0, 2.0, 0.0)}};
+  const Model planted({"n"}, 2787.7066519704485, {cubic, square});
+  MeasurementSet data({"n"});
+  for (double x : {2.0, 16.0, 32.0, 128.0, 256.0, 512.0}) {
+    data.add({x}, planted.evaluate1(x));
+  }
+  MultiParamOptions options;
+  options.space = SearchSpace::coarse();
+  options.top_factors_per_parameter = 2;
+  const FitResult result = fit_multi_parameter(data, options);
+  EXPECT_EQ(result.quality.cv_score, 0.0);
+  ASSERT_EQ(result.model.terms().size(), 2u) << result.model.to_string();
+  for (const Term& term : result.model.terms()) {
+    EXPECT_TRUE(term.same_basis(cubic) || term.same_basis(square))
+        << result.model.to_string();
   }
 }
 
@@ -374,8 +415,8 @@ TEST(FitterTest, SearchPathPopulatesWallSeconds) {
 TEST(FitterTest, DegenerateDomainEdgePointsFitFinite) {
   // Regression for the log2_clamped fix: points at the domain edge x = 1
   // make every log column exactly zero there, and a point below the edge
-  // (clamped) must not poison the basis with NaN/-inf. The batched and
-  // scalar engines must agree on such degenerate data too.
+  // (clamped) must not poison the basis with NaN/-inf. The engine and the
+  // scalar reference must agree on such degenerate data too.
   MeasurementSet data({"p"});
   for (double x : {1.0, 2.0, 4.0, 8.0, 16.0, 32.0}) {
     data.add({x}, 5.0 * x * std::log2(std::max(x, 1.0)) + 3.0);
@@ -389,11 +430,12 @@ TEST(FitterTest, DegenerateDomainEdgePointsFitFinite) {
   EXPECT_TRUE(std::isfinite(result.model.evaluate1(0.5)));
   EXPECT_DOUBLE_EQ(result.model.evaluate1(0.5), result.model.evaluate1(1.0));
 
-  FitOptions scalar;
-  scalar.batched_cv = false;
-  const FitResult reference =
-      fit_single_parameter(data, SearchSpace::paper_default(), scalar);
-  EXPECT_EQ(result.model.to_string(), reference.model.to_string());
+  EXPECT_EQ(testkit::check_neighbourhood(
+                data, multi_parameter_pool(data, MultiParamOptions{}),
+                testkit::selected_basis(result.model),
+                result.quality.cv_score, FitOptions{})
+                .diff,
+            "");
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -146,6 +145,25 @@ TEST(ObsTraceTest, StartClearsPreviousSpans) {
   recorder.stop();
 }
 
+/// Replaces every integer that directly follows `key` in `json` by 0; with
+/// `signed_values` the integer may carry a leading '-'. Other occurrences
+/// of the key are left as they are.
+std::string zero_numbers(std::string json, const std::string& key,
+                         bool signed_values) {
+  const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at)) {
+    const std::size_t start = at + key.size();
+    std::size_t end = start;
+    if (signed_values && end < json.size() && json[end] == '-') ++end;
+    const std::size_t digits = end;
+    while (end < json.size() && is_digit(json[end])) ++end;
+    if (end > digits) json.replace(start, end - start, "0");
+    at = start;
+  }
+  return json;
+}
+
 TEST(ObsTraceTest, ChromeJsonGoldenStructure) {
   TraceRecorder& recorder = TraceRecorder::instance();
   recorder.start();
@@ -159,9 +177,9 @@ TEST(ObsTraceTest, ChromeJsonGoldenStructure) {
   // Timestamps, durations, and the recorder-assigned thread id vary run to
   // run; every other field is stable and must match the golden form.
   std::string json = recorder.chrome_json();
-  json = std::regex_replace(json, std::regex(R"("tid":\d+)"), R"("tid":0)");
-  json = std::regex_replace(json, std::regex(R"("ts":-?\d+)"), R"("ts":0)");
-  json = std::regex_replace(json, std::regex(R"("dur":\d+)"), R"("dur":0)");
+  json = zero_numbers(json, "\"tid\":", /*signed_values=*/false);
+  json = zero_numbers(json, "\"ts\":", /*signed_values=*/true);
+  json = zero_numbers(json, "\"dur\":", /*signed_values=*/false);
 
   const std::string golden =
       "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
