@@ -65,12 +65,10 @@ double candidates_per_second(const AppResult& app) {
 /// selected basis; throws naming the app and fit on disagreement.
 void check_against_reference(const std::string& app, const std::string& fit,
                              const model::MeasurementSet& data,
-                             const model::FitResult& result,
-                             const model::FitOptions& options) {
+                             const model::FitResult& result) {
   const std::string diff = testkit::diff_scores(
       "cv", result.quality.cv_score,
-      testkit::reference_cv_score(
-          data, testkit::selected_basis(result.model), options));
+      testkit::reference_cv_score(data, testkit::selected_basis(result.model)));
   exareq::require(diff.empty(), [&] {
     return "bench_fitter: " + app + " " + fit +
            " disagrees with the reference scorer: " + diff;
@@ -99,14 +97,12 @@ AppResult bench_app(apps::AppId id, const pipeline::CampaignConfig& config,
     result.stats = models.engine_stats();
     for (const pipeline::Metric metric : pipeline::all_metrics()) {
       check_against_reference(result.name, pipeline::metric_label(metric),
-                              data.metric_data(metric), models.result(metric),
-                              options.fit);
+                              data.metric_data(metric), models.result(metric));
       ++result.fits_checked;
     }
     for (const pipeline::ChannelModel& channel : models.comm_channels) {
       check_against_reference(result.name, "channel " + channel.name,
-                              data.channel_data(channel.name), channel.fit,
-                              options.fit);
+                              data.channel_data(channel.name), channel.fit);
       ++result.fits_checked;
     }
   }

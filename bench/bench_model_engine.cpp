@@ -1,13 +1,13 @@
 // Performance and ablation benchmarks of the model-generation engine
 // (Eq. 1/2 fitting). The ablations quantify the design choices DESIGN.md
-// calls out: beam width (escaping near-degenerate shapes), search-space
-// size, and the leave-one-out cross-validation cost.
+// calls out: search-space size and the leave-one-out cross-validation
+// cost.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
 #include "model/fitter.hpp"
-#include "model/multiparam.hpp"
+#include "model/modelgen.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -51,7 +51,7 @@ BENCHMARK(BM_SingleParameterFit)->Arg(5)->Arg(7)->Arg(9);
 void BM_MultiParameterFit(benchmark::State& state) {
   const auto data = two_param_grid();
   for (auto _ : state) {
-    auto result = fit_multi_parameter(data);
+    auto result = generate(data);
     benchmark::DoNotOptimize(result);
   }
 }
@@ -63,11 +63,11 @@ BENCHMARK(BM_MultiParameterFit);
 // at every thread count.
 void BM_MultiParameterFitThreads(benchmark::State& state) {
   const auto data = two_param_grid();
-  MultiParamOptions options;
+  GeneratorOptions options;
   options.fit.threads = static_cast<std::size_t>(state.range(0));
   EngineStats stats;
   for (auto _ : state) {
-    auto result = fit_multi_parameter(data, options);
+    auto result = generate(data, {}, options);
     stats = result.stats;
     benchmark::DoNotOptimize(result);
   }
@@ -108,24 +108,6 @@ void BM_CrossValidationScore(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossValidationScore)->Arg(5)->Arg(9)->Arg(15);
 
-// Ablation: beam width. Width 1 is the pure greedy of a naive
-// implementation; wider beams escape near-degenerate first picks. The
-// cv_score counter shows the quality effect, the timing the cost.
-void BM_BeamWidthAblation(benchmark::State& state) {
-  const auto data = single_param_data(7, 0.002, 21);
-  FitOptions options;
-  options.beam_width = static_cast<std::size_t>(state.range(0));
-  double score = 0.0;
-  for (auto _ : state) {
-    const auto result =
-        fit_single_parameter(data, SearchSpace::paper_default(), options);
-    score = result.quality.cv_score;
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["cv_score"] = score;
-}
-BENCHMARK(BM_BeamWidthAblation)->Arg(1)->Arg(2)->Arg(4)->Arg(6);
-
 // Ablation: search-space size (coarse vs the paper's full grid).
 void BM_SearchSpaceAblation(benchmark::State& state) {
   const auto data = single_param_data(7, 0.0, 5);
@@ -138,21 +120,9 @@ void BM_SearchSpaceAblation(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
   state.counters["cv_score"] = score;
-  state.counters["factors"] = static_cast<double>(space.factor_count());
+  state.counters["factors"] = static_cast<double>(space.factors_for(0).size());
 }
 BENCHMARK(BM_SearchSpaceAblation)->Arg(0)->Arg(1);
-
-// Ablation: refinement/stability machinery versus raw term count.
-void BM_MaxTermsAblation(benchmark::State& state) {
-  const auto data = two_param_grid();
-  MultiParamOptions options;
-  options.fit.max_terms = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto result = fit_multi_parameter(data, options);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_MaxTermsAblation)->Arg(1)->Arg(2)->Arg(3);
 
 }  // namespace
 

@@ -130,7 +130,6 @@ QueryRun run_queries(const codesign::AppRequirements& app,
   online::OnlineServiceOptions online_options;
   online_options.policy.refit_rows = 5;  // every batch triggers a refit
   online_options.refit.generator.space = model::SearchSpace::coarse();
-  online_options.refit.generator.top_factors_per_parameter = 2;
   online::OnlineService service(server.registry(0), online_options);
   server.set_online_hooks(0, service.hooks());
 

@@ -78,9 +78,8 @@ int main() {
     }
   }
 
-  const model::ModelGenerator generator;
-  const auto written_fit = generator.generate(written);
-  const auto read_fit = generator.generate(read);
+  const auto written_fit = model::generate(written);
+  const auto read_fit = model::generate(read);
   std::printf("I/O requirement models (per process):\n");
   std::printf("  #Bytes written  %s   [%s]\n",
               written_fit.model.to_string().c_str(),

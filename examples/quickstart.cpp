@@ -26,8 +26,7 @@ int main() {
 
   // Step 2: model generation (paper Sec. II-C). The generator searches the
   // performance model normal form and selects by cross-validation.
-  const model::ModelGenerator generator;
-  const model::FitResult fit = generator.generate(bytes_used);
+  const model::FitResult fit = model::generate(bytes_used);
   std::printf("fitted model : %s\n", fit.model.to_string().c_str());
   std::printf("paper style  : %s\n", fit.model.to_string_rounded().c_str());
   std::printf("LOO-CV error : %.2e\n", fit.quality.cv_score);

@@ -158,7 +158,7 @@ EngineStats& EngineStats::operator+=(const EngineStats& other) {
 
 struct FitEngine::Impl {
   const MeasurementSet& data;
-  FitOptions options;  // threads resolved
+  std::size_t threads;  ///< FitOptions::threads, 0 resolved
   TermCache cache;
   exareq::ThreadPool* pool = nullptr;
   std::atomic<std::size_t> hypotheses{0};
@@ -174,33 +174,28 @@ struct FitEngine::Impl {
       score_memo;
 
   // Precomputed once per engine: the fitter's weighted view of the data.
+  // Residuals are relative, so row r carries the weight w_r = 1 / |y_r|
+  // (floored at 1e-9 of the largest |y|, relative_error's denominator).
   // The CV engine factors [w*1, w*col_1, ...] against w*y directly, so
   // the row weights and weighted observations are shared by every
   // hypothesis the engine ever scores.
   double obs_scale = 1.0;
-  std::vector<double> row_weights;       ///< empty when absolute residuals
-  std::vector<double> intercept_column;  ///< w (or all-ones)
-  std::vector<double> weighted_values;   ///< w*y (or y)
+  std::vector<double> row_weights;       ///< w
+  std::vector<double> weighted_values;   ///< w*y
   double rhs_scale = 0.0;  ///< max |w*y|, the sign rule's reference size
 
   Impl(const MeasurementSet& data_in, const FitOptions& options_in)
-      : data(data_in), options(options_in), cache(data_in) {
-    if (options.threads == 0) {
-      options.threads = exareq::ThreadPool::hardware_threads();
-    }
-    if (options.threads > 1) pool = &exareq::shared_pool(options.threads);
+      : data(data_in), threads(options_in.threads), cache(data_in) {
+    if (threads == 0) threads = exareq::ThreadPool::hardware_threads();
+    if (threads > 1) pool = &exareq::shared_pool(threads);
     obs_scale = observation_scale(data.values());
     const std::size_t m = data.size();
-    intercept_column.assign(m, 1.0);
-    weighted_values.assign(data.values().begin(), data.values().end());
-    if (options.relative_residuals) {
-      row_weights.resize(m);
-      for (std::size_t r = 0; r < m; ++r) {
-        row_weights[r] =
-            1.0 / std::max(std::fabs(data.value(r)), 1e-9 * obs_scale);
-        intercept_column[r] = row_weights[r];
-        weighted_values[r] *= row_weights[r];
-      }
+    row_weights.resize(m);
+    weighted_values.resize(m);
+    for (std::size_t r = 0; r < m; ++r) {
+      row_weights[r] =
+          1.0 / std::max(std::fabs(data.value(r)), 1e-9 * obs_scale);
+      weighted_values[r] = data.value(r) * row_weights[r];
     }
     for (double v : weighted_values) {
       rhs_scale = std::max(rhs_scale, std::fabs(v));
@@ -243,7 +238,7 @@ struct FitEngine::Impl {
       const auto run = fold_coefficients.subspan(c * folds, folds);
       const double mean_coefficient = exareq::mean(run);
       const double spread = exareq::stddev(run);
-      if (spread > options.max_coefficient_spread *
+      if (spread > kMaxCoefficientSpread *
                        std::max(std::fabs(mean_coefficient), 1e-300)) {
         return false;
       }
@@ -255,10 +250,6 @@ struct FitEngine::Impl {
   /// staged in `scratch`.
   void append_weighted(RetainedQr& qr, const std::vector<double>& column,
                        std::vector<double>& scratch) const {
-    if (row_weights.empty()) {
-      qr.append_column(column);
-      return;
-    }
     scratch.resize(column.size());
     for (std::size_t r = 0; r < column.size(); ++r) {
       scratch[r] = column[r] * row_weights[r];
@@ -272,7 +263,7 @@ struct FitEngine::Impl {
   void factor_columns(const Columns& columns, RetainedQr& qr,
                       std::vector<double>& scratch) const {
     qr.reset(weighted_values);
-    qr.append_column(intercept_column);
+    qr.append_column(row_weights);
     for (const std::vector<double>* column : columns) {
       if (qr.rank_deficient()) break;
       append_weighted(qr, *column, scratch);
@@ -281,8 +272,7 @@ struct FitEngine::Impl {
 
   /// Full-data weighted least-squares fit of a basis: the model's
   /// coefficients. Inadmissible when underdetermined, rank-deficient or
-  /// non-finite, or (require_nonnegative) when a term coefficient is
-  /// negative beyond rounding.
+  /// non-finite, or when a term coefficient is negative beyond rounding.
   CoefficientFit fit_coefficients(const Columns& columns) {
     CoefficientFit fit;
     const std::size_t m = data.size();
@@ -290,23 +280,19 @@ struct FitEngine::Impl {
     const Matrix a = design_matrix(columns, m);
     solves.fetch_add(1, std::memory_order_relaxed);
     const LeastSquaresResult solved =
-        row_weights.empty()
-            ? least_squares(a, data.values())
-            : weighted_least_squares(a, data.values(), row_weights);
+        weighted_least_squares(a, data.values(), row_weights);
     if (solved.rank_deficient) return fit;
     for (double c : solved.solution) {
       if (!std::isfinite(c)) return fit;
     }
     fit.constant = solved.solution[0];
     fit.coefficients.assign(solved.solution.begin() + 1, solved.solution.end());
-    if (options.require_nonnegative) {
-      for (std::size_t c = 0; c < columns.size(); ++c) {
-        const double coefficient = fit.coefficients[c];
-        if (coefficient < 0.0 &&
-            !negligible_coefficient(coefficient, weighted_max(*columns[c]),
-                                    rhs_scale)) {
-          return fit;
-        }
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      const double coefficient = fit.coefficients[c];
+      if (coefficient < 0.0 &&
+          !negligible_coefficient(coefficient, weighted_max(*columns[c]),
+                                  rhs_scale)) {
+        return fit;
       }
     }
     fit.admissible = true;
@@ -318,8 +304,7 @@ struct FitEngine::Impl {
   double weighted_max(const std::vector<double>& column) const {
     double max_abs = 0.0;
     for (std::size_t r = 0; r < column.size(); ++r) {
-      const double weight = row_weights.empty() ? 1.0 : row_weights[r];
-      max_abs = std::max(max_abs, std::fabs(column[r] * weight));
+      max_abs = std::max(max_abs, std::fabs(column[r] * row_weights[r]));
     }
     return max_abs;
   }
@@ -336,8 +321,8 @@ struct FitEngine::Impl {
   /// LOO score from an already-solved factorization of a k-term hypothesis:
   /// admissibility of the full fit, then one rank-one downdate per fold
   /// instead of a refit. A fold is rejected when non-finite, when a term
-  /// coefficient is negative beyond rounding (require_nonnegative), or when
-  /// the left-out row's leverage makes the downdated system singular.
+  /// coefficient is negative beyond rounding, or when the left-out row's
+  /// leverage makes the downdated system singular.
   /// Coefficients that are zero up to rounding count as exactly zero in the
   /// sign and spread checks (`negligible_coefficient`).
   double cv_from_factored(const RetainedQr& qr, std::size_t k, Workspace& ws) {
@@ -346,10 +331,8 @@ struct FitEngine::Impl {
     for (double c : beta) {
       if (!std::isfinite(c)) return kInfinity;
     }
-    if (options.require_nonnegative) {
-      for (std::size_t c = 1; c <= k; ++c) {
-        if (rounded_coefficient(qr, c, beta[c]) < 0.0) return kInfinity;
-      }
+    for (std::size_t c = 1; c <= k; ++c) {
+      if (rounded_coefficient(qr, c, beta[c]) < 0.0) return kInfinity;
     }
 
     ws.fold.resize(k + 1);
@@ -370,7 +353,7 @@ struct FitEngine::Impl {
       for (std::size_t c = 0; c < k; ++c) {
         const double coefficient =
             rounded_coefficient(qr, c + 1, ws.fold[c + 1]);
-        if (options.require_nonnegative && coefficient < 0.0) return reject();
+        if (coefficient < 0.0) return reject();
         ws.fold_coefficients[c * m + left_out] = coefficient;
       }
       // The fold's prediction error comes from the PRESS residual, not
@@ -378,8 +361,8 @@ struct FitEngine::Impl {
       // exact where the coefficient reconstruction cancels on near-exact
       // fits. The residual lives in the weighted problem; dividing by the
       // row weight (== 1 / relative_error's denominator) takes it back.
-      const double weight = row_weights.empty() ? 1.0 : row_weights[left_out];
-      const double predicted = data.value(left_out) - loo_residual / weight;
+      const double predicted =
+          data.value(left_out) - loo_residual / row_weights[left_out];
       total += relative_error(predicted, data.value(left_out), obs_scale);
     }
     downdate_count.fetch_add(folds, std::memory_order_relaxed);
@@ -575,8 +558,7 @@ FitEngine::FitEngine(const MeasurementSet& data, const FitOptions& options)
 FitEngine::~FitEngine() = default;
 
 const MeasurementSet& FitEngine::data() const { return impl_->data; }
-const FitOptions& FitEngine::options() const { return impl_->options; }
-std::size_t FitEngine::thread_count() const { return impl_->options.threads; }
+std::size_t FitEngine::thread_count() const { return impl_->threads; }
 exareq::ThreadPool* FitEngine::pool() const { return impl_->pool; }
 
 double FitEngine::cv_score(const std::vector<Term>& basis) {
@@ -619,7 +601,7 @@ EngineStats FitEngine::stats() const {
   snapshot.downdates = impl_->downdate_count.load();
   snapshot.basis_column_hits = impl_->cache.hits();
   snapshot.basis_columns_built = impl_->cache.misses();
-  snapshot.threads = impl_->options.threads;
+  snapshot.threads = impl_->threads;
   return snapshot;
 }
 
@@ -733,15 +715,15 @@ std::vector<ScoredCandidate> score_extensions(FitEngine::Impl& engine,
   return candidates;
 }
 
-/// The tie rule: among candidates within tie_tolerance of the best score,
+/// The tie rule: among candidates within kTieTolerance of the best score,
 /// prefer the structurally simplest.
-const ScoredCandidate* pick_candidate(const std::vector<ScoredCandidate>& candidates,
-                                      const FitOptions& options) {
+const ScoredCandidate* pick_candidate(
+    const std::vector<ScoredCandidate>& candidates) {
   if (candidates.empty()) return nullptr;
   const double best_score = candidates.front().score;
   const ScoredCandidate* chosen = nullptr;
   for (const ScoredCandidate& c : candidates) {
-    if (c.score > best_score * (1.0 + options.tie_tolerance) + 1e-12) continue;
+    if (c.score > best_score * (1.0 + kTieTolerance) + 1e-12) continue;
     if (chosen == nullptr || c.complexity < chosen->complexity) chosen = &c;
   }
   return chosen;
@@ -750,14 +732,13 @@ const ScoredCandidate* pick_candidate(const std::vector<ScoredCandidate>& candid
 /// Greedy continuation: keeps adding the best significant term.
 void grow_hypothesis(FitEngine::Impl& engine, const Pool& pool,
                      Hypothesis& hypothesis) {
-  const FitOptions& options = engine.options;
-  while (hypothesis.selected.size() < options.max_terms &&
-         hypothesis.score > options.score_tolerance) {
+  while (hypothesis.selected.size() < kMaxTerms &&
+         hypothesis.score > kScoreTolerance) {
     const auto candidates = score_extensions(engine, pool, hypothesis);
-    const ScoredCandidate* chosen = pick_candidate(candidates, options);
+    const ScoredCandidate* chosen = pick_candidate(candidates);
     if (chosen == nullptr) break;
     const bool significant =
-        chosen->score < hypothesis.score * (1.0 - options.improvement_threshold);
+        chosen->score < hypothesis.score * (1.0 - kImprovementThreshold);
     if (!significant) break;
     hypothesis.selected.push_back(chosen->pool_index);
     hypothesis.score = chosen->score;
@@ -774,7 +755,6 @@ void grow_hypothesis(FitEngine::Impl& engine, const Pool& pool,
 /// pool order, matching the sequential semantics exactly.
 void refine_hypothesis(FitEngine::Impl& engine, const Pool& pool,
                        Hypothesis& hypothesis) {
-  const FitOptions& options = engine.options;
   for (int round = 0; round < 4; ++round) {
     bool improved = false;
 
@@ -800,7 +780,7 @@ void refine_hypothesis(FitEngine::Impl& engine, const Pool& pool,
       std::size_t best_index = SIZE_MAX;
       double best_score = hypothesis.score;
       for (std::size_t j = 0; j < trials.size(); ++j) {
-        if (scores[j] < best_score * (1.0 - options.tie_tolerance) - 1e-15) {
+        if (scores[j] < best_score * (1.0 - kTieTolerance) - 1e-15) {
           best_score = scores[j];
           best_index = trials[j];
         }
@@ -821,8 +801,8 @@ void refine_hypothesis(FitEngine::Impl& engine, const Pool& pool,
       const double score = engine.cv_score(trial.ids(pool));
       // A term is dropped when its removal keeps the score within the tie
       // band or below the noise floor — it was fitting sub-noise residuals.
-      const double keep_bound = std::max(
-          hypothesis.score * (1.0 + options.tie_tolerance), options.score_tolerance);
+      const double keep_bound =
+          std::max(hypothesis.score * (1.0 + kTieTolerance), kScoreTolerance);
       if (std::isfinite(score) && score <= keep_bound + 1e-15) {
         hypothesis.selected = std::move(trial.selected);
         hypothesis.score = score;
@@ -842,15 +822,12 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
                                const std::vector<Term>& pool_terms) {
   FitEngine::Impl& engine = *engine_handle.impl_;
   const MeasurementSet& data = engine.data;
-  const FitOptions& options = engine.options;
   const auto started = std::chrono::steady_clock::now();
   obs::ScopedSpan span("fit_with_pool", "model");
   span.arg("pool_terms", static_cast<double>(pool_terms.size()));
   span.arg("points", static_cast<double>(data.size()));
   const EngineStats stats_before = engine_handle.stats();
   exareq::require(!data.empty(), "fit_with_pool: empty measurement set");
-  exareq::require(options.max_terms >= 1, "fit_with_pool: max_terms must be >= 1");
-  exareq::require(options.beam_width >= 1, "fit_with_pool: beam_width must be >= 1");
   const Pool pool{pool_terms, engine.intern_all(pool_terms)};
 
   double constant_score = engine.cv_score({});
@@ -871,23 +848,22 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
   // shapes, so the best *single* term is not always the right foundation.
   Hypothesis best;
   best.score = constant_score;
-  if (constant_score > options.score_tolerance) {
+  if (constant_score > kScoreTolerance) {
     const auto first_candidates = score_extensions(engine, pool, Hypothesis{});
     // Branch on every candidate whose single-term score sits within a
     // factor of the best one (the PMNF grid clusters many near-degenerate
     // shapes at the top, and the right *foundation* term is frequently not
     // the single best fit), bounded by a hard cap for cost control.
-    const std::size_t cap = std::max<std::size_t>(options.beam_width, 16);
     const double band =
         first_candidates.empty() ? 0.0 : first_candidates.front().score * 4.0;
     std::size_t branched = 0;
     for (const ScoredCandidate& seed : first_candidates) {
-      if (branched >= options.beam_width &&
-          (branched >= cap || seed.score > band)) {
+      if (branched >= kBeamWidth &&
+          (branched >= kMaxBeamWidth || seed.score > band)) {
         break;
       }
       const bool significant =
-          seed.score < constant_score * (1.0 - options.improvement_threshold);
+          seed.score < constant_score * (1.0 - kImprovementThreshold);
       if (!significant) break;  // candidates are sorted; none further qualify
       ++branched;
       Hypothesis branch;
@@ -896,9 +872,9 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
       grow_hypothesis(engine, pool, branch);
       refine_hypothesis(engine, pool, branch);
       const bool better =
-          branch.score < best.score * (1.0 - options.tie_tolerance) - 1e-12;
+          branch.score < best.score * (1.0 - kTieTolerance) - 1e-12;
       const bool tied_but_simpler =
-          branch.score < best.score * (1.0 + options.tie_tolerance) + 1e-12 &&
+          branch.score < best.score * (1.0 + kTieTolerance) + 1e-12 &&
           branch.complexity(pool) < best.complexity(pool);
       if (better || (tied_but_simpler && !best.selected.empty())) {
         best = std::move(branch);
@@ -928,7 +904,7 @@ FitResult fit_with_pool_engine(FitEngine& engine_handle,
             max_share,
             std::fabs(contributing.evaluate(data.coordinate(k))) / total);
       }
-      if (max_share >= options.min_term_contribution) continue;
+      if (max_share >= kMinTermContribution) continue;
       Hypothesis trial = best;
       trial.selected.erase(trial.selected.begin() + static_cast<std::ptrdiff_t>(t));
       const double rescored = engine.cv_score(trial.ids(pool));
@@ -1014,9 +990,10 @@ FitResult fit_with_pool(const MeasurementSet& data, const std::vector<Term>& poo
   return result;
 }
 
-std::vector<Term> single_factor_pool(const SearchSpace& space) {
+std::vector<Term> single_factor_pool(const SearchSpace& space,
+                                     std::span<const SpecialFn> collectives) {
   std::vector<Term> pool;
-  for (const Factor& factor : space.factors_for(0)) {
+  for (const Factor& factor : space.factors_for(0, collectives)) {
     Term term;
     term.coefficient = 1.0;
     term.factors = {factor};

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "model/linalg.hpp"
@@ -46,61 +47,75 @@ inline bool negligible_coefficient(double coefficient, double column_scale,
   return std::fabs(coefficient) * column_scale <= kRoundingFloor * rhs_scale;
 }
 
-/// Tuning knobs of the fitting procedure.
+// The search's thresholds. They are constants: the paper's workflow is one
+// search, and every metric and every caller uses the same thresholds.
+
+/// Maximum number of non-constant terms in a hypothesis.
+inline constexpr std::size_t kMaxTerms = 3;
+
+/// A term is only added if it shrinks the cross-validation score by at
+/// least this fraction (the paper's "no significant improvement" rule).
+/// Genuine terms on counter-precision data improve the score by 50-100%;
+/// terms chasing measurement noise rarely exceed ~30%, so the bar sits
+/// between the two.
+inline constexpr double kImprovementThreshold = 0.35;
+
+/// Hypothesis growth stops once the score falls below this bound — the
+/// model already explains the data to measurement precision, and further
+/// terms would chase sub-noise residuals. It corresponds to a 0.05%
+/// relative error, well below the reproducibility of real hardware
+/// counters. Scores below kRoundingFloor (far under this bound) are
+/// reported as exactly 0: their digits measure rounding noise, and they
+/// differ between exact hypotheses only by the column order the engine
+/// happened to factor them in. Collapsing them makes selection among
+/// numerically-exact hypotheses a deterministic tie-break on complexity
+/// within the one engine, instead of a coin flip on last-ulp differences.
+inline constexpr double kScoreTolerance = 5e-4;
+
+/// Candidates scoring within this fraction of the best are considered
+/// ties and resolved toward lower structural complexity. Generous on
+/// purpose: the PMNF grid contains many shapes that only differ beyond
+/// measurement precision, and the paper's workflow values interpretable
+/// (simple) models.
+inline constexpr double kTieTolerance = 0.05;
+
+/// Terms whose largest relative contribution over the measured points
+/// falls below this share are dropped from the final model: they fit
+/// sub-noise residuals in-sample yet can dominate (and wreck) the
+/// extrapolation — a p^3 term with a 0.2% in-sample share is invisible to
+/// cross-validation but grows 8x per process-count doubling.
+inline constexpr double kMinTermContribution = 0.01;
+
+/// Hypotheses whose term coefficients vary by more than this relative
+/// spread (stddev / |mean|) across the leave-one-out folds are rejected:
+/// a genuine requirement term is estimable from any subset of the
+/// measurements, while a noise-chasing term's coefficient is dictated by
+/// whichever points happen to be in the fold. Fold coefficients that are
+/// zero up to rounding count as exactly zero here.
+inline constexpr double kMaxCoefficientSpread = 0.5;
+
+/// Number of first-term candidates the search branches on. PMNF grids
+/// contain near-degenerate shapes (x^1.125 vs x * log2(x) over narrow
+/// ranges); a purely greedy first pick can trap the search in a mixture
+/// that fits well but extrapolates badly. Branching on the best few first
+/// terms and keeping the best final hypothesis resolves this. Beyond
+/// kBeamWidth the search keeps branching on candidates within 4x of the
+/// best single-term score, up to kMaxBeamWidth branches.
+inline constexpr std::size_t kBeamWidth = 6;
+inline constexpr std::size_t kMaxBeamWidth = 16;
+
+// Two rules are not thresholds and hold for every fit:
+// - Hypotheses whose fitted term coefficients are negative are rejected;
+//   requirement metrics are counts and cannot shrink below zero. A
+//   coefficient that is zero up to rounding is not negative
+//   (`negligible_coefficient`).
+// - Residuals are relative: each row is weighted by 1 / |y| (floored at
+//   1e-9 of the largest |y|). Relative residuals make small-scale
+//   configurations count as much as large ones, which is what an
+//   extrapolating model needs.
+
+/// The one setting of a fit.
 struct FitOptions {
-  /// Maximum number of non-constant terms in a hypothesis.
-  std::size_t max_terms = 3;
-  /// A term is only added if it shrinks the cross-validation score by at
-  /// least this fraction (the paper's "no significant improvement" rule).
-  /// Genuine terms on counter-precision data improve the score by 50-100%;
-  /// terms chasing measurement noise rarely exceed ~30%, so the bar sits
-  /// between the two.
-  double improvement_threshold = 0.35;
-  /// Hypothesis growth stops once the score falls below this bound — the
-  /// model already explains the data to measurement precision, and further
-  /// terms would chase sub-noise residuals. The default corresponds to a
-  /// 0.05% relative error, well below the reproducibility of real hardware
-  /// counters. Scores below 1e-8 (far under this bound) are reported as
-  /// exactly 0: their digits measure rounding noise, and they differ
-  /// between exact hypotheses only by the column order the engine happened
-  /// to factor them in. Collapsing them makes selection among
-  /// numerically-exact hypotheses a deterministic tie-break on complexity
-  /// within the one engine, instead of a coin flip on last-ulp differences.
-  double score_tolerance = 5e-4;
-  /// Reject hypotheses whose fitted term coefficients are negative;
-  /// requirement metrics are counts and cannot shrink below zero. A
-  /// coefficient that is zero up to rounding is not negative
-  /// (`negligible_coefficient`).
-  bool require_nonnegative = true;
-  /// Minimize relative rather than absolute residuals. Relative residuals
-  /// make small-scale configurations count as much as large ones, which is
-  /// what an extrapolating model needs.
-  bool relative_residuals = true;
-  /// Candidates scoring within this fraction of the best are considered
-  /// ties and resolved toward lower structural complexity. Generous on
-  /// purpose: the PMNF grid contains many shapes that only differ beyond
-  /// measurement precision, and the paper's workflow values interpretable
-  /// (simple) models.
-  double tie_tolerance = 0.05;
-  /// Terms whose largest relative contribution over the measured points
-  /// falls below this share are dropped from the final model: they fit
-  /// sub-noise residuals in-sample yet can dominate (and wreck) the
-  /// extrapolation — a p^3 term with a 0.2% in-sample share is invisible to
-  /// cross-validation but grows 8x per process-count doubling.
-  double min_term_contribution = 0.01;
-  /// Hypotheses whose term coefficients vary by more than this relative
-  /// spread (stddev / |mean|) across the leave-one-out folds are rejected:
-  /// a genuine requirement term is estimable from any subset of the
-  /// measurements, while a noise-chasing term's coefficient is dictated by
-  /// whichever points happen to be in the fold. Fold coefficients that are
-  /// zero up to rounding count as exactly zero here.
-  double max_coefficient_spread = 0.5;
-  /// Number of first-term candidates the search branches on. PMNF grids
-  /// contain near-degenerate shapes (x^1.125 vs x * log2(x) over narrow
-  /// ranges); a purely greedy first pick can trap the search in a mixture
-  /// that fits well but extrapolates badly. Branching on the best few first
-  /// terms and keeping the best final hypothesis resolves this.
-  std::size_t beam_width = 6;
   /// Threads used by the search engine: candidate scoring, replacement
   /// moves, and (one level up) per-metric fits run on a shared pool of this
   /// size. 1 runs everything inline on the caller; 0 means hardware
@@ -159,8 +174,8 @@ struct FitResult {
 /// Memoizing scoring engine over one MeasurementSet: owns the basis-column
 /// cache, a hypothesis-score memo, and the observability counters. All
 /// scoring entry points are thread-safe; the free fitting functions create
-/// one engine per fit, and `fit_multi_parameter` shares per-slice engines
-/// across the factor-ranking loop.
+/// one engine per fit, and `rank_candidate_factors` shares one per slice
+/// between its ranking and its slice fit.
 class FitEngine {
  public:
   /// The data set must outlive the engine. Resolves `options.threads`
@@ -172,7 +187,6 @@ class FitEngine {
   FitEngine& operator=(const FitEngine&) = delete;
 
   const MeasurementSet& data() const;
-  const FitOptions& options() const;
 
   /// Resolved thread count; the pool itself (null when serial).
   std::size_t thread_count() const;
@@ -221,8 +235,10 @@ FitResult fit_with_pool(const MeasurementSet& data, const std::vector<Term>& poo
 FitResult fit_with_pool_engine(FitEngine& engine, const std::vector<Term>& pool);
 
 /// One single-factor term (unit coefficient) per factor of `space` for
-/// parameter 0: the pool fit_single_parameter searches.
-std::vector<Term> single_factor_pool(const SearchSpace& space);
+/// parameter 0, with the admissible `collectives` among them
+/// (SearchSpace::factors_for): the pool fit_single_parameter searches.
+std::vector<Term> single_factor_pool(
+    const SearchSpace& space, std::span<const SpecialFn> collectives = {});
 
 /// Single-parameter fit over the full search space (paper Eq. 1).
 FitResult fit_single_parameter(const MeasurementSet& data,

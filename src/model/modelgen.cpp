@@ -1,36 +1,28 @@
 #include "model/modelgen.hpp"
 
-#include "support/error.hpp"
+#include <chrono>
+
+#include "model/multiparam.hpp"
+#include "obs/trace.hpp"
 
 namespace exareq::model {
 
-ModelGenerator::ModelGenerator(GeneratorOptions options)
-    : options_(std::move(options)) {
-  exareq::require(options_.min_distinct_values >= 2,
-                  "ModelGenerator: need at least two distinct values");
-}
-
-FitResult ModelGenerator::generate(const MeasurementSet& data,
-                                   const MetricTraits& traits) const {
-  data.validate_for_modeling(options_.min_distinct_values);
-  return fit_multi_parameter(data, multi_parameter_options(data, traits));
-}
-
-MultiParamOptions ModelGenerator::multi_parameter_options(
-    const MeasurementSet& data, const MetricTraits& traits) const {
-  MultiParamOptions multi;
-  multi.space = options_.space;
-  multi.fit = options_.fit;
-  multi.top_factors_per_parameter = options_.top_factors_per_parameter;
-  if (traits.is_communication) {
-    for (std::size_t l = 0; l < data.parameter_count(); ++l) {
-      if (data.parameter_names()[l] == options_.process_parameter) {
-        multi.collective_parameters.push_back(l);
-      }
-    }
-    multi.allowed_collectives = traits.collectives;
-  }
-  return multi;
+FitResult generate(const MeasurementSet& data, const MetricTraits& traits,
+                   const GeneratorOptions& options) {
+  data.validate_for_modeling();
+  const auto started = std::chrono::steady_clock::now();
+  obs::ScopedSpan span("generate", "model");
+  span.arg("parameters", static_cast<double>(data.parameter_count()));
+  span.arg("points", static_cast<double>(data.size()));
+  EngineStats ranking_stats;
+  const std::vector<Term> pool =
+      multi_parameter_pool(data, traits, options, &ranking_stats);
+  FitResult result = fit_with_pool(data, pool, options.fit);
+  result.stats += ranking_stats;
+  result.stats.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
+          .count();
+  return result;
 }
 
 }  // namespace exareq::model

@@ -38,40 +38,30 @@ SearchSpace SearchSpace::coarse() {
   return space;
 }
 
-std::vector<Factor> SearchSpace::factors_for(std::size_t parameter) const {
+std::vector<Factor> SearchSpace::factors_for(
+    std::size_t parameter, std::span<const SpecialFn> collectives) const {
   exareq::require(!poly_exponents.empty() && !log_exponents.empty(),
                   "SearchSpace: exponent grids must be non-empty");
   std::vector<Factor> factors;
-  factors.reserve(poly_exponents.size() * log_exponents.size());
+  factors.reserve(poly_exponents.size() * log_exponents.size() +
+                  kCollectives.size());
   for (double i : poly_exponents) {
     for (double j : log_exponents) {
       if (i == 0.0 && j == 0.0) continue;  // identity: covered by the constant
       factors.push_back(pmnf_factor(parameter, i, j));
     }
   }
-  if (include_collectives) {
-    factors.push_back(special_factor(parameter, SpecialFn::kAllreduce));
-    factors.push_back(special_factor(parameter, SpecialFn::kBcast));
-    factors.push_back(special_factor(parameter, SpecialFn::kAlltoall));
+  for (SpecialFn fn : kCollectives) {
+    if (std::find(collectives.begin(), collectives.end(), fn) !=
+        collectives.end()) {
+      factors.push_back(special_factor(parameter, fn));
+    }
   }
   std::stable_sort(factors.begin(), factors.end(),
                    [](const Factor& a, const Factor& b) {
                      return a.complexity() < b.complexity();
                    });
   return factors;
-}
-
-std::size_t SearchSpace::factor_count() const {
-  std::size_t count = poly_exponents.size() * log_exponents.size();
-  bool has_identity = false;
-  for (double i : poly_exponents) {
-    for (double j : log_exponents) {
-      if (i == 0.0 && j == 0.0) has_identity = true;
-    }
-  }
-  if (has_identity) --count;
-  if (include_collectives) count += 3;
-  return count;
 }
 
 }  // namespace exareq::model

@@ -8,20 +8,25 @@
 // communication metrics.
 #pragma once
 
+#include <array>
+#include <span>
 #include <vector>
 
 #include "model/basis.hpp"
 
 namespace exareq::model {
 
+/// The named collective functions, in the order factors_for appends them.
+inline constexpr std::array<SpecialFn, 3> kCollectives{
+    SpecialFn::kAllreduce, SpecialFn::kBcast, SpecialFn::kAlltoall};
+
 /// The exponent grid from which candidate factors are drawn.
 struct SearchSpace {
   std::vector<double> poly_exponents;
   std::vector<double> log_exponents;
-  bool include_collectives = false;
 
   /// The paper's grid: poly {i/8} U {i/3} for 0 <= value <= 3,
-  /// log {0, 0.5, 1, 1.5, 2}; no collectives.
+  /// log {0, 0.5, 1, 1.5, 2}.
   static SearchSpace paper_default();
 
   /// A coarser grid (integer and half-integer poly exponents) for quick
@@ -29,11 +34,12 @@ struct SearchSpace {
   static SearchSpace coarse();
 
   /// All candidate factors for one parameter (identity excluded, sorted by
-  /// ascending complexity). Collectives are appended when enabled.
-  std::vector<Factor> factors_for(std::size_t parameter) const;
-
-  /// Number of factors factors_for() would return.
-  std::size_t factor_count() const;
+  /// ascending complexity): the grid's PMNF factors plus one factor per
+  /// collective function named in `collectives` (communication metrics in
+  /// the process count). The collectives keep the kCollectives order
+  /// whatever order `collectives` lists them in.
+  std::vector<Factor> factors_for(
+      std::size_t parameter, std::span<const SpecialFn> collectives = {}) const;
 };
 
 }  // namespace exareq::model

@@ -491,7 +491,6 @@ RequirementModels model_requirements(const CampaignData& data,
                                      const model::GeneratorOptions& options) {
   exareq::require(!data.measurements.empty(),
                   "model_requirements: empty campaign");
-  const model::ModelGenerator generator(options);
   RequirementModels models;
   models.app_name = data.app_name;
 
@@ -505,8 +504,8 @@ RequirementModels model_requirements(const CampaignData& data,
   std::vector<std::function<void()>> fits;
   const auto add_metric = [&](Metric metric, model::FitResult* slot) {
     fits.push_back([&, metric, slot] {
-      *slot =
-          generator.generate(data.metric_data(metric), metric_traits(metric));
+      *slot = model::generate(data.metric_data(metric), metric_traits(metric),
+                              options);
     });
   };
   add_metric(Metric::kBytesUsed, &models.bytes_used);
@@ -522,8 +521,9 @@ RequirementModels model_requirements(const CampaignData& data,
       ChannelModel channel;
       channel.name = name;
       channel.traits = data.channel_traits(name);
-      channel.fit = generator.generate(data.channel_data(name),
-                                       channel_metric_traits(channel.traits));
+      channel.fit = model::generate(data.channel_data(name),
+                                    channel_metric_traits(channel.traits),
+                                    options);
       models.comm_channels[i] = std::move(channel);
     });
   }

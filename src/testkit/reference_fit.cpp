@@ -45,7 +45,6 @@ bool duplicates(const std::vector<model::Term>& selected,
 
 ReferenceScore reference_cv_score(const model::MeasurementSet& data,
                                   const std::vector<model::Term>& basis,
-                                  const model::FitOptions& options,
                                   std::size_t* solves) {
   ReferenceScore inadmissible;
   const std::size_t m = data.size();
@@ -59,10 +58,9 @@ ReferenceScore reference_cv_score(const model::MeasurementSet& data,
   const auto denominator = [&](double observed) {
     return std::max(std::fabs(observed), 1e-9 * scale);
   };
-  std::vector<double> weights(m, 1.0);
-  if (options.relative_residuals) {
-    for (std::size_t r = 0; r < m; ++r) weights[r] = 1.0 / denominator(y[r]);
-  }
+  // Relative residuals: row r weighs 1 / denominator(y_r), like the engine.
+  std::vector<double> weights(m);
+  for (std::size_t r = 0; r < m; ++r) weights[r] = 1.0 / denominator(y[r]);
 
   std::vector<std::vector<double>> columns(k, std::vector<double>(m));
   for (std::size_t c = 0; c < k; ++c) {
@@ -116,10 +114,8 @@ ReferenceScore reference_cv_score(const model::MeasurementSet& data,
     for (double c : solved.solution) {
       if (!std::isfinite(c)) return std::nullopt;
     }
-    if (options.require_nonnegative) {
-      for (std::size_t c = 0; c < k; ++c) {
-        if (rounded(c, solved.solution[c + 1]) < 0.0) return std::nullopt;
-      }
+    for (std::size_t c = 0; c < k; ++c) {
+      if (rounded(c, solved.solution[c + 1]) < 0.0) return std::nullopt;
     }
     return solved.solution;
   };
@@ -159,7 +155,7 @@ ReferenceScore reference_cv_score(const model::MeasurementSet& data,
   }
   for (const std::vector<double>& run : fold_coefficients) {
     const double size = std::max(std::fabs(exareq::mean(run)), 1e-300);
-    if (exareq::stddev(run) > options.max_coefficient_spread * size) {
+    if (exareq::stddev(run) > model::kMaxCoefficientSpread * size) {
       return inadmissible;
     }
   }
@@ -204,7 +200,7 @@ NeighbourhoodCheck check_neighbourhood(const model::MeasurementSet& data,
                            double production) {
     ++check.hypotheses;
     const ReferenceScore reference =
-        reference_cv_score(data, basis, options, &check.reference_solves);
+        reference_cv_score(data, basis, &check.reference_solves);
     if (check.diff.empty()) {
       check.diff = diff_scores(describe(data, basis), production, reference);
     }

@@ -32,17 +32,16 @@ struct ReferenceScore {
   double amplification = 1.0;
 };
 
-/// Leave-one-out CV score of `basis` on `data` under `options`, refitting
-/// every fold from scratch. Inadmissible when there are too few points,
-/// when the full fit or a fold fit is rank-deficient or non-finite, when a
-/// term coefficient is negative beyond rounding (require_nonnegative, with
-/// model::negligible_coefficient), when a row's leverage is within 1e-12
+/// Leave-one-out CV score of `basis` on `data` with relative residuals,
+/// refitting every fold from scratch. Inadmissible when there are too few
+/// points, when the full fit or a fold fit is rank-deficient or
+/// non-finite, when a term coefficient is negative beyond rounding
+/// (model::negligible_coefficient), when a row's leverage is within 1e-12
 /// of 1 (its fold is singular; found by fitting the row's indicator), or
-/// when fold coefficients spread beyond max_coefficient_spread. When
+/// when fold coefficients spread beyond model::kMaxCoefficientSpread. When
 /// `solves` is non-null, every least-squares solve adds one to it.
 ReferenceScore reference_cv_score(const model::MeasurementSet& data,
                                   const std::vector<model::Term>& basis,
-                                  const model::FitOptions& options,
                                   std::size_t* solves = nullptr);
 
 /// "" when a production CV score agrees with a reference score, else a
@@ -53,7 +52,8 @@ ReferenceScore reference_cv_score(const model::MeasurementSet& data,
 /// fold's residual by the PRESS identity e / (1 - h), whose relative
 /// rounding grows with 1 / (1 - h); the band follows it, and stays far
 /// below the smallest score difference that can influence selection
-/// (tie_tolerance = 5e-2) unless a row's leverage is within 1e-11 of 1.
+/// (model::kTieTolerance = 5e-2) unless a row's leverage is within 1e-11
+/// of 1.
 std::string diff_scores(const std::string& label, double production,
                         const ReferenceScore& reference);
 
@@ -81,6 +81,6 @@ NeighbourhoodCheck check_neighbourhood(const model::MeasurementSet& data,
                                        const std::vector<model::Term>& pool,
                                        const std::vector<model::Term>& selected,
                                        double reported_cv,
-                                       const model::FitOptions& options);
+                                       const model::FitOptions& options = {});
 
 }  // namespace exareq::testkit

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <tuple>
@@ -81,14 +82,12 @@ TEST(FitterTest, RecoversCollectiveBasisWhenEnabled) {
   // Payload 1e4 bytes per Allreduce: bytes = 1e4 * 2 * log2(p).
   const auto data = sample_1d(
       kProcessCounts, [](double x) { return 1e4 * 2.0 * std::log2(x); });
-  SearchSpace space = SearchSpace::paper_default();
-  space.include_collectives = true;
-  FitOptions options;
   // Allreduce(p) and log2(p) are proportional; the collective must win the
   // complexity tie-break (0.5 == 0.5) deterministically, so widen the
   // search: what matters is that *a* log-shaped basis is chosen and the
   // prediction is exact.
-  const FitResult result = fit_single_parameter(data, space, options);
+  const FitResult result = fit_with_pool(
+      data, single_factor_pool(SearchSpace::paper_default(), kCollectives));
   ASSERT_EQ(result.model.terms().size(), 1u);
   EXPECT_NEAR(result.model.evaluate1(256.0), 1e4 * 2.0 * 8.0, 1.0);
 }
@@ -128,33 +127,23 @@ TEST(FitterTest, NonnegativityRejectsDecreasingTerm) {
   // must fall back to a constant rather than produce a negative slope.
   MeasurementSet data({"p"});
   for (double x : kProcessCounts) data.add({x}, 1000.0 - x);
-  FitOptions options;
-  options.require_nonnegative = true;
-  const FitResult result = fit_single_parameter(
-      data, SearchSpace::paper_default(), options);
+  const FitResult result = fit_single_parameter(data);
   EXPECT_TRUE(result.model.is_constant());
 }
 
-TEST(FitterTest, NegativeTermsAllowedWhenRelaxed) {
-  MeasurementSet data({"p"});
-  for (double x : kProcessCounts) data.add({x}, 1000.0 - x);
-  FitOptions options;
-  options.require_nonnegative = false;
-  const FitResult result = fit_single_parameter(
-      data, SearchSpace::paper_default(), options);
-  ASSERT_EQ(result.model.terms().size(), 1u);
-  EXPECT_NEAR(result.model.terms()[0].coefficient, -1.0, 1e-6);
-}
-
 TEST(FitterTest, RespectsMaxTerms) {
-  const auto data = sample_1d(
-      kProcessCounts,
-      [](double x) { return x + 10.0 * x * x + 0.1 * std::pow(x, 3.0); });
-  FitOptions options;
-  options.max_terms = 1;
-  const FitResult result =
-      fit_single_parameter(data, SearchSpace::paper_default(), options);
-  EXPECT_LE(result.model.terms().size(), 1u);
+  // Four genuine terms, each at least a fifth of the data somewhere on the
+  // grid: a fifth coefficient is estimable from the twelve points, yet the
+  // model stops at kMaxTerms.
+  std::vector<double> xs;
+  for (double x = 2.0; x <= 4096.0; x *= 2.0) xs.push_back(x);
+  const auto data = sample_1d(xs, [](double x) {
+    return 1e6 * std::log2(x) + 1e4 * x + 10.0 * x * x +
+           1e-3 * std::pow(x, 3.0);
+  });
+  // With a cap of four the search selects four terms here.
+  const FitResult result = fit_single_parameter(data);
+  EXPECT_LE(result.model.terms().size(), 3u) << result.model.to_string();
 }
 
 TEST(FitterTest, ThrowsOnEmptyData) {
@@ -211,34 +200,37 @@ TEST(FitterTest, CollinearPoolTermsDoNotCrash) {
 }
 
 TEST(FitterTest, PruningNeverTradesAFiniteScoreForInf) {
-  // Regression: y = 1000 x + 2 sqrt(x) + 1e-4 x^2. The sqrt term's share
-  // never reaches min_term_contribution, so the contribution pruning tries
-  // to drop it — but its concavity is what keeps the tiny x^2 coefficient
+  // Regression: y = 1000 x + 2 sqrt(x) + 0.003 x^2. The sqrt term's share
+  // never reaches kMinTermContribution, so the contribution pruning tries
+  // to drop it — but its concavity is what keeps the small x^2 coefficient
   // non-negative, so the pruned basis {x, x^2} is CV-inadmissible. The
-  // engine must keep the term and the finite pre-prune score instead of
-  // reporting cv_score = +inf and collapsing the model to a constant.
+  // engine must keep the term and the finite pre-prune score (the exact
+  // three-term fit) instead of pruning on through +inf: that path ends at
+  // 2.257 + 1000 x over this pool, and at a constant model with
+  // cv_score = +inf over the coarse grid.
   MeasurementSet data({"x"});
   double x = 4.0;
   for (int i = 0; i < 6; ++i) {
-    data.add({x}, 1e3 * x + 2.0 * std::sqrt(x) + 1e-4 * x * x);
+    data.add({x}, 1e3 * x + 2.0 * std::sqrt(x) + 3e-3 * x * x);
     x *= 2.0;
   }
-  const auto term = [](double poly) {
-    Term t;
-    t.coefficient = 1.0;
-    t.factors = {pmnf_factor(0, poly, 0.0)};
-    return t;
-  };
-  FitOptions options;
-  options.score_tolerance = 0.0;
-  options.improvement_threshold = 0.05;
-  const FitResult result =
-      fit_with_pool(data, {term(1.0), term(0.5), term(2.0)}, options);
-  EXPECT_TRUE(std::isfinite(result.quality.cv_score))
+  const Term sqrt_term{1.0, {pmnf_factor(0, 0.5, 0.0)}};
+  const FitResult result = fit_with_pool(
+      data, {Term{1.0, {pmnf_factor(0, 1.0, 0.0)}}, sqrt_term,
+             Term{1.0, {pmnf_factor(0, 2.0, 0.0)}}});
+  EXPECT_EQ(result.quality.cv_score, 0.0) << result.model.to_string();
+  ASSERT_EQ(result.model.terms().size(), 3u) << result.model.to_string();
+  EXPECT_TRUE(std::any_of(
+      result.model.terms().begin(), result.model.terms().end(),
+      [&](const Term& term) { return term.same_basis(sqrt_term); }))
       << result.model.to_string();
-  ASSERT_FALSE(result.model.is_constant()) << result.model.to_string();
+
+  const FitResult coarse = fit_single_parameter(data, SearchSpace::coarse());
+  EXPECT_TRUE(std::isfinite(coarse.quality.cv_score))
+      << coarse.model.to_string();
+  ASSERT_FALSE(coarse.model.is_constant()) << coarse.model.to_string();
   // The dominant linear trend must survive.
-  EXPECT_NEAR(result.model.evaluate1(128.0), 1e3 * 128.0, 0.01 * 1e3 * 128.0);
+  EXPECT_NEAR(coarse.model.evaluate1(128.0), 1e3 * 128.0, 0.01 * 1e3 * 128.0);
 }
 
 TEST(FitterTest, ThreadCountDoesNotChangeTheModel) {
@@ -326,7 +318,7 @@ TEST(FitterTest, BatchedAndScalarScoringAgree) {
         std::vector<Term>{term(0.0, 2.0), term(3.0, 0.0)}}) {
     const double batched = cross_validation_score(data, basis);
     const double reference =
-        testkit::reference_cv_score(data, basis, FitOptions{}).score;
+        testkit::reference_cv_score(data, basis).score;
     if (!std::isfinite(reference)) {
       EXPECT_FALSE(std::isfinite(batched));
       continue;
@@ -362,7 +354,7 @@ TEST(FitterTest, RedundantTermOfAnExactFitIsAdmissible) {
     EXPECT_EQ(production, 0.0) << redundant.to_string(data.parameter_names());
     EXPECT_EQ(testkit::diff_scores(
                   redundant.to_string(data.parameter_names()), production,
-                  testkit::reference_cv_score(data, basis, FitOptions{})),
+                  testkit::reference_cv_score(data, basis)),
               "");
   }
 }
@@ -380,10 +372,9 @@ TEST(FitterTest, ExactPlantedPairIsSelectedWithoutARedundantTerm) {
   for (double x : {2.0, 16.0, 32.0, 128.0, 256.0, 512.0}) {
     data.add({x}, planted.evaluate1(x));
   }
-  MultiParamOptions options;
+  GeneratorOptions options;
   options.space = SearchSpace::coarse();
-  options.top_factors_per_parameter = 2;
-  const FitResult result = fit_multi_parameter(data, options);
+  const FitResult result = generate(data, {}, options);
   EXPECT_EQ(result.quality.cv_score, 0.0);
   ASSERT_EQ(result.model.terms().size(), 2u) << result.model.to_string();
   for (const Term& term : result.model.terms()) {
@@ -430,10 +421,9 @@ TEST(FitterTest, DegenerateDomainEdgePointsFitFinite) {
   EXPECT_TRUE(std::isfinite(result.model.evaluate1(0.5)));
   EXPECT_DOUBLE_EQ(result.model.evaluate1(0.5), result.model.evaluate1(1.0));
 
-  EXPECT_EQ(testkit::check_neighbourhood(
-                data, multi_parameter_pool(data, MultiParamOptions{}),
-                testkit::selected_basis(result.model),
-                result.quality.cv_score, FitOptions{})
+  EXPECT_EQ(testkit::check_neighbourhood(data, multi_parameter_pool(data),
+                                         testkit::selected_basis(result.model),
+                                         result.quality.cv_score)
                 .diff,
             "");
 }

@@ -386,7 +386,7 @@ TEST(RetainedQrTest, CopyAssignIntoWorkspaceThatHeldASmallerSystem) {
 }
 
 TEST(RetainedQrTest, GrowsPastItsInitialColumnCapacity) {
-  // Intercept + max_terms = 8: nine columns against an initial capacity of
+  // An intercept and eight terms: nine columns against an initial capacity of
   // four, so the buffers regrow twice while the factorization is live. The
   // reference is a workspace whose buffers already hold twelve columns, so
   // it appends the same nine without regrowing.

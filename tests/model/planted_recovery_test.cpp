@@ -75,10 +75,9 @@ TEST_P(PlantedRecoveryTest, ExtrapolatesTenfoldWithinFivePercent) {
       data.add2(p, n, planted.truth(p, n));
     }
   }
-  ModelGenerator generator;
   MetricTraits traits;
   traits.is_communication = planted.communication;
-  const FitResult fit = generator.generate(data, traits);
+  const FitResult fit = generate(data, traits);
 
   for (const auto& [p, n] : {std::pair{512.0, 8192.0}, {1024.0, 16384.0}}) {
     const double truth = planted.truth(p, n);
@@ -99,10 +98,9 @@ TEST_P(PlantedRecoveryTest, SurvivesCounterNoise) {
       data.add2(p, n, planted.truth(p, n) * (1.0 + 0.003 * rng.normal()));
     }
   }
-  ModelGenerator generator;
   MetricTraits traits;
   traits.is_communication = planted.communication;
-  const FitResult fit = generator.generate(data, traits);
+  const FitResult fit = generate(data, traits);
   const double truth = planted.truth(512.0, 8192.0);
   EXPECT_NEAR(fit.model.evaluate2(512.0, 8192.0), truth, 0.15 * truth)
       << fit.model.to_string();
@@ -121,10 +119,9 @@ TEST_P(PlantedRecoveryTest, InversionRoundTripsInN) {
       data.add2(p, n, planted.truth(p, n));
     }
   }
-  ModelGenerator generator;
   MetricTraits traits;
   traits.is_communication = planted.communication;
-  const FitResult fit = generator.generate(data, traits);
+  const FitResult fit = generate(data, traits);
 
   const double p = 128.0;
   const double budget = fit.model.evaluate2(p, 4096.0);

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 namespace exareq::model {
 namespace {
@@ -48,12 +50,9 @@ TEST(SearchSpaceTest, FactorsExcludeIdentity) {
 }
 
 TEST(SearchSpaceTest, FactorCountMatchesEnumeration) {
-  SearchSpace space = SearchSpace::paper_default();
-  EXPECT_EQ(space.factors_for(0).size(), space.factor_count());
-  EXPECT_EQ(space.factor_count(), 31u * 5u - 1u);
-  space.include_collectives = true;
-  EXPECT_EQ(space.factors_for(0).size(), space.factor_count());
-  EXPECT_EQ(space.factor_count(), 31u * 5u - 1u + 3u);
+  const SearchSpace space = SearchSpace::paper_default();
+  EXPECT_EQ(space.factors_for(0).size(), 31u * 5u - 1u);
+  EXPECT_EQ(space.factors_for(0, kCollectives).size(), 31u * 5u - 1u + 3u);
 }
 
 TEST(SearchSpaceTest, FactorsCarryParameterIndex) {
@@ -72,19 +71,29 @@ TEST(SearchSpaceTest, FactorsSortedByComplexity) {
 }
 
 TEST(SearchSpaceTest, CollectivesAppendedWhenEnabled) {
-  SearchSpace space = SearchSpace::coarse();
-  space.include_collectives = true;
-  const auto factors = space.factors_for(0);
-  const auto count_special = std::count_if(
-      factors.begin(), factors.end(),
-      [](const Factor& f) { return f.special != SpecialFn::kNone; });
-  EXPECT_EQ(count_special, 3);
+  const SearchSpace space = SearchSpace::coarse();
+  const auto specials = [&](std::span<const SpecialFn> collectives) {
+    std::vector<SpecialFn> found;
+    for (const Factor& f : space.factors_for(0, collectives)) {
+      if (f.special != SpecialFn::kNone) found.push_back(f.special);
+    }
+    return found;
+  };
+  EXPECT_EQ(specials(kCollectives),
+            std::vector<SpecialFn>(kCollectives.begin(), kCollectives.end()));
+  EXPECT_TRUE(specials({}).empty());
+  // Only the named collectives, in canonical order whatever the input's.
+  const std::vector<SpecialFn> narrowed{SpecialFn::kAlltoall,
+                                        SpecialFn::kAllreduce};
+  EXPECT_EQ(specials(narrowed),
+            (std::vector<SpecialFn>{SpecialFn::kAllreduce,
+                                    SpecialFn::kAlltoall}));
 }
 
 TEST(SearchSpaceTest, CoarseGridIsSubsetSized) {
   const SearchSpace coarse = SearchSpace::coarse();
   const SearchSpace paper = SearchSpace::paper_default();
-  EXPECT_LT(coarse.factor_count(), paper.factor_count());
+  EXPECT_LT(coarse.factors_for(0).size(), paper.factors_for(0).size());
 }
 
 }  // namespace

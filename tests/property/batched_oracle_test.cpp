@@ -26,22 +26,21 @@
 namespace exareq::testkit {
 namespace {
 
-/// The generator's multi-parameter setup; single-parameter datasets search
-/// the same coarse space.
-model::MultiParamOptions planted_options(std::size_t threads) {
-  model::MultiParamOptions options;
+/// The generator's setup over the coarse space the planted models come
+/// from.
+model::GeneratorOptions planted_options(std::size_t threads) {
+  model::GeneratorOptions options;
   options.space = model::SearchSpace::coarse();
-  options.top_factors_per_parameter = 2;
   options.fit.threads = threads;
   return options;
 }
 
 std::string check_planted(const PlantedDataset& dataset) {
   const model::MeasurementSet data = dataset.build();
-  const model::MultiParamOptions options = planted_options(dataset.threads);
-  const model::FitResult fit = model::fit_multi_parameter(data, options);
+  const model::GeneratorOptions options = planted_options(dataset.threads);
+  const model::FitResult fit = model::generate(data, {}, options);
   const std::vector<model::Term> pool =
-      model::multi_parameter_pool(data, options);
+      model::multi_parameter_pool(data, {}, options);
   return check_neighbourhood(data, pool, selected_basis(fit.model),
                              fit.quality.cv_score, options.fit)
       .diff;
@@ -69,10 +68,10 @@ TEST(PropertyBatchedFitterOracleTest, BatchedModeActuallySkipsPerFoldSolves) {
     const double x = std::pow(2.0, static_cast<double>(e));
     data.add({x}, 7.0 * x * std::log2(x) + 100.0);
   }
-  const model::MultiParamOptions options = planted_options(1);
-  const model::FitResult fit = model::fit_multi_parameter(data, options);
+  const model::GeneratorOptions options = planted_options(1);
+  const model::FitResult fit = model::generate(data, {}, options);
   const NeighbourhoodCheck check = check_neighbourhood(
-      data, model::multi_parameter_pool(data, options),
+      data, model::multi_parameter_pool(data, {}, options),
       selected_basis(fit.model), fit.quality.cv_score, options.fit);
   EXPECT_EQ(check.diff, "");
   EXPECT_GT(check.production.downdates, 0u);

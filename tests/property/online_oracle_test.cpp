@@ -58,7 +58,7 @@ Gen<StreamCase> stream_case_gen() {
         planted_requirements_gen("planted")(rng);
 
     // ≥5 distinct values per parameter (the paper's rule of thumb, and the
-    // generator's min_distinct_values gate for the full dataset).
+    // five-values check model::generate applies to the full dataset).
     std::vector<pipeline::AppMeasurement> rows;
     for (int pe = 1; pe <= 5; ++pe) {
       for (int ne = 6; ne <= 10; ++ne) {
@@ -222,14 +222,12 @@ std::string diff_bundles(const BundleSummary& fast,
   return {};
 }
 
-/// Coarse space + 2 factors per parameter: the planted models come from
-/// the same family, and the smaller hypothesis pool keeps 25-row refits
-/// fast enough for the seed matrix (the full space is the batched-fitter
-/// oracle's job).
+/// Coarse space: the planted models come from the same family, and the
+/// smaller hypothesis pool keeps 25-row refits fast enough for the seed
+/// matrix (the full space is the batched-fitter oracle's job).
 online::RefitterOptions oracle_options() {
   online::RefitterOptions options;
   options.generator.space = model::SearchSpace::coarse();
-  options.generator.top_factors_per_parameter = 2;
   return options;
 }
 

@@ -69,11 +69,10 @@ model::FitResult fast_fit(const PlantedDataset& dataset) {
     (void)model::fit_with_pool_engine(engine, pool);
     return model::fit_with_pool_engine(engine, pool);
   }
-  model::MultiParamOptions options;
+  model::GeneratorOptions options;
   options.space = model::SearchSpace::coarse();
-  options.top_factors_per_parameter = 2;
   options.fit.threads = dataset.threads;
-  return model::fit_multi_parameter(data, options);
+  return model::generate(data, {}, options);
 }
 
 model::FitResult reference_fit(const PlantedDataset& dataset) {
@@ -83,11 +82,10 @@ model::FitResult reference_fit(const PlantedDataset& dataset) {
     options.threads = 1;
     return model::fit_with_pool(data, coarse_pool(), options);
   }
-  model::MultiParamOptions options;
+  model::GeneratorOptions options;
   options.space = model::SearchSpace::coarse();
-  options.top_factors_per_parameter = 2;
   options.fit.threads = 1;
-  return model::fit_multi_parameter(data, options);
+  return model::generate(data, {}, options);
 }
 
 TEST(PropertySearchOracleTest, ParallelCachedSearchMatchesSerialColdSearch) {
@@ -128,7 +126,7 @@ TEST(PropertySearchOracleTest, RepeatedEngineSearchActuallyHitsTheCache) {
   // the round that prunes nothing) and the final fit.
   EXPECT_EQ(warm.qr_extensions, cold.qr_extensions);
   EXPECT_EQ(warm.downdates, cold.downdates);
-  EXPECT_LE(warm.cv_solves - cold.cv_solves, options.max_terms + 2);
+  EXPECT_LE(warm.cv_solves - cold.cv_solves, model::kMaxTerms + 2);
   EXPECT_GT(cold.qr_extensions, 0u);
 }
 
